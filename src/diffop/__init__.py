@@ -21,6 +21,7 @@ from .expressions import (
     ComplexExpr,
     ComplexTerm,
     ConjugateSymmetryError,
+    InternalInvariantError,
     RealExpr,
     RealTerm,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "FrequencyStep",
     "GaussianRational",
     "IDENTITY_OP",
+    "InternalInvariantError",
     "InverseSeries",
     "KernelBasis",
     "OperatorPoly",

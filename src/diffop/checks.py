@@ -9,6 +9,7 @@ wrong canonical form, evaluating the two sides through different code paths
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,12 +75,19 @@ def numeric_spot_check(
 
     P(D)Y is applied exactly but evaluated through the complex path, while
     g is evaluated through the real path, so the comparison crosses both
-    representations.
+    representations.  A point where either side overflows a float (say
+    exp(1000 x) at x = 1) counts as math.inf: the identity could not be
+    confirmed there, so the result fails any tolerance.
     """
     applied = P.apply(Y.to_complex())
     worst = 0.0
     for x in points:
-        gx = g.evaluate(x)
-        px = applied.evaluate(x)
-        worst = max(worst, abs(px - gx) / (1.0 + abs(gx)))
+        try:
+            gx = g.evaluate(x)
+            deviation = abs(applied.evaluate(x) - gx) / (1.0 + abs(gx))
+        except OverflowError:
+            return math.inf
+        if not math.isfinite(deviation):  # inf, or nan from inf - inf
+            return math.inf
+        worst = max(worst, deviation)
     return worst

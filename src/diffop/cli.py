@@ -8,7 +8,9 @@ shown.
 
 Exit codes: 0 success, 1 verification found a residual, 64 usage or parse
 error, 65 operator not factorable over Q(i) (kernel and --general), 70
-internal oracle failure.
+internal invariant violation (an answer failing its own certificate or a
+broken conjugate fold).  In ``batch`` an item that hits such a failure gets
+status "internal" instead of "error", and the batch itself still exits 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .checks import check_particular
-from .expressions import RealExpr
+from .expressions import InternalInvariantError, RealExpr
 from .operators import OperatorPoly, UnfactorableOverGaussianRationals
 from .parsing import ParsedOperator, ParseError, factor_exact, parse_operator, parse_rhs
 from .render import (
@@ -97,11 +99,7 @@ def _solve_checked(poly: OperatorPoly, rhs: RealExpr):
     Y, trace = solve_particular(poly, rhs)
     verdict = check_particular(poly, rhs, Y)
     if not verdict.is_exact:
-        raise _Failure(
-            EXIT_INTERNAL,
-            "internal error: the computed answer failed its own verification; "
-            "please report this input",
-        )
+        raise InternalInvariantError("the computed answer failed its own verification")
     return Y, trace
 
 
@@ -197,6 +195,8 @@ def _cmd_batch(args) -> int:
             )
         except (ParseError, _Failure, KeyError, TypeError, ValueError) as exc:
             results.append({"status": "error", "error": str(exc)})
+        except InternalInvariantError as exc:
+            results.append({"status": "internal", "error": str(exc)})
     print(json.dumps(results, indent=2))
     return EXIT_OK
 
@@ -292,6 +292,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalInvariantError as err:
+        print(f"error: internal error: {err}; please report this input", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -28,7 +28,11 @@ from .rationals import Fraction as _F
 from .rationals import GaussianRational, gauss
 
 
-class ConjugateSymmetryError(ValueError):
+class InternalInvariantError(Exception):
+    """An invariant of the engine broke: a bug in diffop, never bad input."""
+
+
+class ConjugateSymmetryError(InternalInvariantError):
     """A supposedly real expression was not conjugation-symmetric."""
 
 

@@ -1,21 +1,32 @@
 """Polynomials in the differentiation operator D.
 
-An operator P(D) = a_n D^n + ... + a_1 D + a_0 acts on an expression by
-differentiating it repeatedly and forming the linear combination.  Because
-the coefficients are constants, operators multiply like ordinary polynomials
-and commute with each other.
+An operator P(D) = a_n D^n + ... + a_1 D + a_0 acts on an expression as the
+linear combination of its derivatives.  Because the coefficients are
+constants, operators multiply like ordinary polynomials and commute with
+each other.
 
-Two identities carry all the weight downstream.  Exponentials are
-eigenfunctions of D, so
+Three identities carry all the weight.  Exponentials are eigenfunctions of
+D, so
 
-    P(D) e^(lam x) = P(lam) e^(lam x),
+    P(D) e^(lam x) = P(lam) e^(lam x);
 
-and conjugating by an exponential translates the argument of the polynomial,
+conjugating by an exponential translates the argument of the polynomial,
 
-    P(D) [e^(lam x) f(x)] = e^(lam x) [P(D + lam) f(x)].
+    P(D) [e^(lam x) f(x)] = e^(lam x) [P(D + lam) f(x)];
 
-``evaluate`` and ``shift`` implement the right-hand sides exactly, which is
-what lets the solver replace calculus with arithmetic in Q(i).
+and on one frequency D acts on the polynomial part alone,
+
+    D (u(x) e^(lam x)) = (u'(x) + lam u(x)) e^(lam x).
+
+``evaluate`` and ``shift`` implement the first two exactly, which is what
+lets the solver replace calculus with arithmetic in Q(i).  ``apply`` runs
+Horner's rule on the third, frequency by frequency.  It is the certificate's
+path and must not go through ``shift``, so the two stay independent.
+
+Both ``shift`` and ``apply`` scale their inputs to Gaussian integers over a
+common denominator first (the fraction-free scheme of von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 5): the inner loops then run on
+plain ints, and each output coefficient is reduced by one gcd at the end.
 
 Coefficients are stored as GaussianRational throughout, even for operators
 built from real input: shifting by a complex frequency must not change the
@@ -29,12 +40,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .expressions import ComplexExpr
+from .expressions import ComplexExpr, ComplexTerm
+from .rationals import ZERO as _ZERO
 from .rationals import GaussianRational, gauss, rat_sqrt, scalar_from_json, scalar_to_json
 
 
 class UnfactorableOverGaussianRationals(ValueError):
     """The operator has a root outside Q(i); no exact factorization exists here."""
+
+
+def _integer_parts(values) -> tuple:
+    """(d, re, im) with values[j] = (re[j] + im[j] i) / d over the least d."""
+    d = 1
+    for z in values:
+        d = math.lcm(d, z.re.denominator, z.im.denominator)
+    re = [z.re.numerator * (d // z.re.denominator) for z in values]
+    im = [z.im.numerator * (d // z.im.denominator) for z in values]
+    return d, re, im
 
 
 def _to_gauss(value) -> GaussianRational:
@@ -169,18 +191,14 @@ class OperatorPoly:
         n = len(self._coeffs)
         if n == 0 or lam.is_zero():
             return self
-        s = math.lcm(lam.re.denominator, lam.im.denominator)
-        p = int(lam.re * s)
-        q = int(lam.im * s)
-        d = 1
-        for c in self._coeffs:
-            d = math.lcm(d, c.re.denominator, c.im.denominator)
+        s, (p,), (q,) = _integer_parts((lam,))
+        d, cre, cim = _integer_parts(self._coeffs)
         top = n - 1
         spow = [1] * n
         for i in range(1, n):
             spow[i] = spow[i - 1] * s
-        wre = [int(c.re * d) * spow[top - j] for j, c in enumerate(self._coeffs)]
-        wim = [int(c.im * d) * spow[top - j] for j, c in enumerate(self._coeffs)]
+        wre = [c * spow[top - j] for j, c in enumerate(cre)]
+        wim = [c * spow[top - j] for j, c in enumerate(cim)]
         for i in range(n):
             for j in range(n - 2, i - 1, -1):
                 a, b = wre[j + 1], wim[j + 1]
@@ -196,15 +214,57 @@ class OperatorPoly:
         return OperatorPoly(out)
 
     def apply(self, f: ComplexExpr) -> ComplexExpr:
-        """Sum of a_j D^j f, by repeated exact differentiation."""
-        result = ComplexExpr()
-        current = f
-        for j, a in enumerate(self._coeffs):
-            if j > 0:
-                current = current.differentiate()
-            if not a.is_zero():
-                result = result + current.scale(a)
-        return result
+        """P(D) f, by Horner's rule run separately on each frequency of f.
+
+        On one frequency D(u e^(lam x)) = (u' + lam u) e^(lam x), so
+        P(D)(u e^(lam x)) = r_0 e^(lam x) with r_n = a_n u and
+        r_j = r_(j+1)' + lam r_(j+1) + a_j u.  With a_j = A_j/da,
+        lam = (p + qi)/s and u = U/du the scaled R_j = da du s^(n-j) r_j obey
+
+            R_n = A_n U,   R_j = s R_(j+1)' + (p + qi) R_(j+1) + s^(n-j) A_j U
+
+        on Gaussian-integer coefficient vectors, and r_0 = R_0 / (da du s^n)
+        is normalized once per coefficient.  No step goes through ``shift``.
+        """
+        n = len(self._coeffs) - 1
+        if n < 0:
+            return ComplexExpr()
+        da, are, aim = _integer_parts(self._coeffs)
+        groups: dict = {}
+        for t in f.terms:
+            groups.setdefault(t.lam, []).append(t)
+        out = []
+        for lam, terms in groups.items():
+            poly = [_ZERO] * (terms[-1].k + 1)  # terms of one lam are sorted by k
+            for t in terms:
+                poly[t.k] = t.coeff
+            du, ure, uim = _integer_parts(poly)
+            s, (p,), (q,) = _integer_parts((lam,))
+            a, b = are[n], aim[n]
+            rre = [a * u - b * v for u, v in zip(ure, uim)]
+            rim = [a * v + b * u for u, v in zip(ure, uim)]
+            spow = 1
+            for j in range(n - 1, -1, -1):
+                spow *= s
+                a, b = are[j] * spow, aim[j] * spow
+                nre = [
+                    p * x - q * y + a * u - b * v
+                    for x, y, u, v in zip(rre, rim, ure, uim)
+                ]
+                nim = [
+                    p * y + q * x + a * v + b * u
+                    for x, y, u, v in zip(rre, rim, ure, uim)
+                ]
+                for k in range(1, len(rre)):
+                    nre[k - 1] += s * k * rre[k]
+                    nim[k - 1] += s * k * rim[k]
+                rre, rim = nre, nim
+            den = da * du * spow
+            for k, (x, y) in enumerate(zip(rre, rim)):
+                if x or y:
+                    coeff = GaussianRational._raw(Fraction(x, den), Fraction(y, den))
+                    out.append(ComplexTerm(coeff, k, lam))
+        return ComplexExpr(out)
 
     def formal_derivative(self) -> "OperatorPoly":
         """dP/dD by the power rule (a polynomial in D, not an action on f)."""

@@ -2,12 +2,22 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from diffop.cli import EXIT_OK, EXIT_RESIDUAL, EXIT_UNFACTORABLE, EXIT_USAGE, main
+import diffop.cli
+from diffop import ConjugateSymmetryError
+from diffop.cli import (
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_RESIDUAL,
+    EXIT_UNFACTORABLE,
+    EXIT_USAGE,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -192,6 +202,32 @@ def test_batch(capsys, monkeypatch):
     assert results[1]["status"] == "error"
 
 
+def _broken_fold(P, g):
+    raise ConjugateSymmetryError("term x^0 e^((2i)x) has no conjugate partner")
+
+
+def test_internal_fold_failure_exits_70(capsys, monkeypatch):
+    monkeypatch.setattr(diffop.cli, "solve_particular", _broken_fold)
+    code, out, err = run(capsys, "solve", "--op", "D^2+4", "--rhs", "sin(2*x)")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "internal error" in err and "please report this input" in err
+
+
+def test_batch_marks_internal_failures(capsys, monkeypatch):
+    monkeypatch.setattr(diffop.cli, "solve_particular", _broken_fold)
+    problems = {"problems": [{"op": "D^2+4", "rhs": "sin(2*x)"}, {"op": "D +", "rhs": "x"}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(problems)))
+    code = main(["batch"])
+    results = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert results[0] == {
+        "status": "internal",
+        "error": "term x^0 e^((2i)x) has no conjugate partner",
+    }
+    assert results[1]["status"] == "error"
+
+
 def test_batch_rejects_malformed_payload(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[1, 2]"))
     assert main(["batch"]) == EXIT_USAGE
@@ -202,9 +238,13 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same diffop as this process, installed or not
+    src = os.path.dirname(os.path.dirname(diffop.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "diffop.cli", "solve", "--op", "D^2+1", "--rhs", "2*sin(2*x)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-2/3*sin(2*x)"

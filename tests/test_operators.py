@@ -16,7 +16,7 @@ from diffop import (
     OperatorPoly,
     gauss,
 )
-from genutil import cexpr, rand_complex_expr, rand_gauss, rand_operator
+from genutil import cexpr, rand_complex_expr, rand_fraction, rand_gauss, rand_operator
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=5)
 gaussians = st.builds(gauss, fractions, fractions)
@@ -167,6 +167,52 @@ def test_shift_identity_randomized():
         inner = p.shift(lam).apply(f)
         rhs = ComplexExpr(((t.coeff, t.k, t.lam + lam) for t in inner.terms))
         assert lhs == rhs
+
+
+def _apply_by_differentiation(p: OperatorPoly, f: ComplexExpr) -> ComplexExpr:
+    """Reference P(D) f: sum of a_j D^j f by repeated exact differentiation."""
+    result = ComplexExpr()
+    current = f
+    for j, a in enumerate(p.coeffs):
+        if j > 0:
+            current = current.differentiate()
+        if not a.is_zero():
+            result = result + current.scale(a)
+    return result
+
+
+def _rand_multi_frequency(rng: random.Random) -> ComplexExpr:
+    # several frequencies, some Gaussian, with denominators in lam and in the
+    # coefficients; each frequency carries a polynomial part of degree <= 5
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        lam = rng.choice((gauss(0), gauss(rand_fraction(rng, 5)), rand_gauss(rng, 5)))
+        for _ in range(rng.randint(1, 4)):
+            terms.append((rand_gauss(rng, 7), rng.randint(0, 5), lam))
+    return ComplexExpr(terms)
+
+
+def test_apply_matches_repeated_differentiation():
+    rng = random.Random(29)
+    for degree in range(13):
+        for _ in range(12):
+            # non-real Gaussian-rational coefficients, as shifted operators have
+            coeffs = [rand_gauss(rng, 6) for _ in range(degree)]
+            coeffs.append(rand_gauss(rng, 6, nonzero=True))
+            p = OperatorPoly(coeffs)
+            f = _rand_multi_frequency(rng)
+            assert p.apply(f) == _apply_by_differentiation(p, f), (p, f)
+
+
+def test_apply_edge_operators_and_inputs():
+    rng = random.Random(31)
+    f = _rand_multi_frequency(rng)
+    assert OperatorPoly().apply(f).is_zero()
+    assert (D**3 + 2).apply(ComplexExpr()).is_zero()
+    c = gauss(Fraction(-3, 7), Fraction(2, 5))
+    constant = OperatorPoly((c,))
+    assert constant.apply(f) == f.scale(c) == _apply_by_differentiation(constant, f)
+    assert IDENTITY_OP.apply(f) == f
 
 
 @given(operators, operators)

@@ -1,5 +1,6 @@
 """Verification oracles: symbolic residual, kernel verdicts, float spot-check."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -72,6 +73,16 @@ def test_numeric_spot_check_on_kernel_element():
     f = parse_operator("(D-2)^2").factored
     elem = kernel_basis(f).elements[1]
     assert numeric_spot_check(f.expand(), rexpr(), elem) < 1e-9
+
+
+def test_numeric_spot_check_reports_overflow_as_unconfirmed():
+    # exp(1000 x) overflows a float at x = 1; the identity is still exact
+    P = D - 1
+    g = rexpr((1, 0, 1000, 0, None))
+    Y, _ = solve_particular(P, g)
+    assert check_particular(P, g, Y).is_exact
+    assert numeric_spot_check(P, g, Y) == math.inf
+    assert numeric_spot_check(P, g, Y, points=(0.0, 0.5)) < 1e-9
 
 
 def test_standard_points_cover_the_documented_set():
