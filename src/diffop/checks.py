@@ -15,7 +15,6 @@ from typing import Optional
 
 from .expressions import RealExpr
 from .operators import OperatorPoly
-from .render import render_text
 from .solve import KernelBasis
 
 STANDARD_POINTS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.3, -1.3, 2.7)
@@ -30,16 +29,6 @@ class Verdict:
     @property
     def is_exact(self) -> bool:
         return self.status == "exact"
-
-    def to_json(self) -> dict:
-        if self.is_exact:
-            return {"status": "exact"}
-        out: dict = {"status": "residual"}
-        if self.residual is not None:
-            out["residual"] = render_text(self.residual)
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
 EXACT = Verdict("exact")

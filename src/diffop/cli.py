@@ -170,7 +170,12 @@ def _cmd_verify(args) -> int:
     candidate = parse_rhs(args.candidate)
     verdict = check_particular(parsed.poly, rhs, candidate)
     if args.format == "json":
-        print(json.dumps(verdict.to_json(), indent=2))
+        out = {"status": verdict.status}
+        if verdict.residual is not None:
+            out["residual"] = render_text(verdict.residual)
+        if verdict.detail:
+            out["detail"] = verdict.detail
+        print(json.dumps(out, indent=2))
     elif verdict.is_exact:
         print("exact")
     else:

@@ -42,7 +42,7 @@ from typing import Iterable, Optional
 
 from .expressions import ComplexExpr, ComplexTerm
 from .rationals import ZERO as _ZERO
-from .rationals import GaussianRational, gauss, rat_sqrt, scalar_from_json, scalar_to_json
+from .rationals import GaussianRational, gauss, power, rat_sqrt, scalar_from_json, scalar_to_json
 
 
 class UnfactorableOverGaussianRationals(ValueError):
@@ -147,10 +147,7 @@ class OperatorPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = OperatorPoly((gauss(1),))
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power(self, exponent, IDENTITY_OP)
 
     def scale(self, c) -> "OperatorPoly":
         c = _to_gauss(c)
@@ -278,13 +275,13 @@ class OperatorPoly:
         Shifting moves lam to the origin, where the multiplicity is visible
         as the run of vanishing low-order coefficients.
         """
+        return self.shift(lam).valuation()
+
+    def valuation(self) -> int:
+        """Largest k with D^k dividing P: the index of the lowest nonzero coefficient."""
         if self.is_zero():
             raise ValueError("multiplicity is undefined for the zero operator")
-        shifted = self.shift(lam)
-        k = 0
-        while shifted.coeff(k).is_zero():
-            k += 1
-        return k
+        return next(k for k, c in enumerate(self._coeffs) if not c.is_zero())
 
     # -- serialization ----------------------------------------------------
 

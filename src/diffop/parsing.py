@@ -33,7 +33,7 @@ from .operators import (
     OperatorPoly,
     UnfactorableOverGaussianRationals,
 )
-from .rationals import GaussianRational, gauss
+from .rationals import GaussianRational, gauss, power
 
 _FUNCTIONS = ("sin", "cos", "exp")
 _IDENTS = ("D", "x", "e") + _FUNCTIONS
@@ -290,10 +290,7 @@ class _RhsParser(_Parser):
         self.fail(tok, "can only divide by a nonzero rational constant")
 
     def pow(self, a, n):
-        result = _ONE
-        for _ in range(n):
-            result = result * a
-        return result
+        return power(a, n, _ONE)
 
     def ident(self, tok):
         if tok.text == "x":

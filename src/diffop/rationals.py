@@ -30,6 +30,23 @@ def rat_from_json(obj: dict) -> Fraction:
     return Fraction(int(obj["num"]), int(obj["den"]))
 
 
+def power(base, exponent: int, one):
+    """base**exponent for exponent >= 0 by square-and-multiply, one the unit.
+
+    Serves every ``**`` on exact values: Gaussian rationals, operator
+    polynomials and the parser's expressions; about log2(exponent) squarings
+    instead of exponent products.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 def rat_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a non-negative rational, or None if irrational."""
     if q < 0:
@@ -134,14 +151,7 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, ONE)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._raw(self.re, -self.im)

@@ -5,29 +5,24 @@ The canonical expression form is flat; display groups terms by frequency
 and factors the lowest power of x out of each cos/sin/exp part, so answers
 read the way they are written by hand: `3/677*(26*cos(2*x) - sin(2*x))`,
 `-1/9*x^2*(2*x + 1)*exp(2*x)`.  Pure polynomial groups print plainly.
-Text output always reparses to the same expression; LaTeX mirrors the same
-structure with amsmath-safe macros only.
+
+Text and LaTeX are one layout walk (``_layout``) in two spellings: a
+``_Spelling`` says how to write a rational, a power of x, a trig or exp
+leaf, a product and a bracketed group, and nothing else.  So every layout
+decision (grouping, common factor, lowest power, signs) is made once and
+both formats agree on structure by construction.  Text output always
+reparses to the same expression; LaTeX uses amsmath-safe macros only.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .expressions import ComplexExpr, RealExpr
 from .operators import FactoredOperator, OperatorPoly
 from .rationals import GaussianRational, rat_to_json, scalar_to_json
-from .solve import SolveTrace
-
-
-def _frac_gcd(values) -> Fraction:
-    nums = [abs(v.numerator) for v in values]
-    dens = [v.denominator for v in values]
-    return Fraction(math.gcd(*nums), math.lcm(*dens))
-
-
-def _fmt_q(q: Fraction) -> str:
-    return str(q)
 
 
 def _fmt_q_latex(q: Fraction) -> str:
@@ -44,54 +39,24 @@ def _xpow(k: int) -> str:
 
 
 def _xpow_latex(k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return "x"
-    return f"x^{k}" if k < 10 else f"x^{{{k}}}"
+    return f"x^{{{k}}}" if k >= 10 else _xpow(k)
 
 
-# -- grouping ---------------------------------------------------------------
+class _Spelling(NamedTuple):
+    """How one output format writes the pieces the layout walk places."""
+
+    rational: Callable[[Fraction], str]
+    xpow: Callable[[int], str]
+    times: str  # multiplication joiner
+    trig: str  # format of cos/sin(rate x), fields trig and arg
+    exp: str  # format of e^(rate x), field arg
+    group: str  # format of a bracketed sum of trig parts, field body
 
 
-class _Group:
-    """All terms sharing one (alpha, beta), split into trig parts."""
-
-    def __init__(self, alpha: Fraction, beta: Fraction):
-        self.alpha = alpha
-        self.beta = beta
-        self.parts: dict = {}
-
-    def add(self, trig, k: int, coeff: Fraction):
-        self.parts.setdefault(trig, {})[k] = coeff
-
-    def part_order(self) -> list:
-        return [t for t in (None, "cos", "sin") if t in self.parts]
-
-    def all_coeffs(self) -> list:
-        return [c for poly in self.parts.values() for c in poly.values()]
-
-    def lead_sign(self) -> int:
-        first = self.parts[self.part_order()[0]]
-        return 1 if first[max(first)] > 0 else -1
-
-
-def _groups(expr: RealExpr) -> list:
-    out: dict = {}
-    for t in expr.terms:
-        key = (t.alpha, t.beta)
-        if key not in out:
-            out[key] = _Group(t.alpha, t.beta)
-        out[key].add(t.trig, t.k, t.coeff)
-    return [out[key] for key in sorted(out)]
-
-
-def _poly_monomials(poly: dict) -> list:
-    """Descending (sign, |coeff|, k) triples."""
-    return [
-        (1 if poly[k] > 0 else -1, abs(poly[k]), k)
-        for k in sorted(poly, reverse=True)
-    ]
+_TEXT = _Spelling(str, _xpow, "*", "{trig}({arg})", "exp({arg})", "({body})")
+_LATEX = _Spelling(
+    _fmt_q_latex, _xpow_latex, "", "\\{trig} {arg}", "e^{{{arg}}}", "\\left[{body}\\right]"
+)
 
 
 def _join_signed(pieces: list) -> str:
@@ -105,187 +70,91 @@ def _join_signed(pieces: list) -> str:
     return "".join(out)
 
 
-# -- plain text ---------------------------------------------------------------
+def _rate_x(rate: Fraction, sp: _Spelling) -> str:
+    if rate == 1:
+        return "x"
+    if rate == -1:
+        return "-x"
+    return f"{sp.rational(rate)}{sp.times}x"
 
 
-def _monomial_text(c: Fraction, k: int) -> str:
+def _monomial(c: Fraction, k: int, sp: _Spelling) -> str:
     if k == 0:
-        return _fmt_q(c)
-    body = _xpow(k)
-    return body if c == 1 else f"{_fmt_q(c)}*{body}"
+        return sp.rational(c)
+    return sp.xpow(k) if c == 1 else f"{sp.rational(c)}{sp.times}{sp.xpow(k)}"
 
 
-def _poly_text(poly: dict) -> str:
-    return _join_signed(
-        [(s, _monomial_text(c, k)) for s, c, k in _poly_monomials(poly)]
-    )
+def _monomials(poly: dict, sp: _Spelling) -> list:
+    """(sign, text) of each monomial of {k: coeff}, highest power first."""
+    return [
+        (1 if poly[k] > 0 else -1, _monomial(abs(poly[k]), k, sp))
+        for k in sorted(poly, reverse=True)
+    ]
 
 
-def _trig_text(trig: str, beta: Fraction) -> str:
-    arg = "x" if beta == 1 else f"{_fmt_q(beta)}*x"
-    return f"{trig}({arg})"
-
-
-def _exp_text(alpha: Fraction) -> str:
-    if alpha == 1:
-        arg = "x"
-    elif alpha == -1:
-        arg = "-x"
-    else:
-        arg = f"{_fmt_q(alpha)}*x"
-    return f"exp({arg})"
-
-
-def _part_text(poly: dict, trig, beta: Fraction) -> tuple:
-    """(sign, text) for one part, lowest x power factored out."""
+def _part(poly: dict, leaf, sp: _Spelling) -> tuple:
+    """(sign, text) of one plain/cos/sin part, lowest x power factored out."""
     m = min(poly)
-    shifted = {k - m: c for k, c in poly.items()}
-    sign = 1 if shifted[max(shifted)] > 0 else -1
-    if sign < 0:
-        shifted = {k: -c for k, c in shifted.items()}
-    pieces = []
+    sign = 1 if poly[max(poly)] > 0 else -1
+    shifted = {k - m: c * sign for k, c in poly.items()}
     if len(shifted) == 1:
-        (j, c), = shifted.items()
-        mono = _monomial_text(c, j + m)
-        if mono != "1":
-            pieces.append(mono)
+        pieces = [_monomial(shifted[0], m, sp)]
     else:
-        if m:
-            pieces.append(_xpow(m))
-        pieces.append(f"({_poly_text(shifted)})")
-    if trig is not None:
-        pieces.append(_trig_text(trig, beta))
-    if not pieces:
-        pieces.append("1")
-    return sign, "*".join(pieces)
+        body = _join_signed(_monomials(shifted, sp))
+        pieces = [sp.xpow(m), f"({body})"]
+    pieces = [p for p in (*pieces, leaf) if p and p != "1"]
+    return sign, sp.times.join(pieces) or "1"
+
+
+def _layout(expr: RealExpr, sp: _Spelling) -> str:
+    """The one layout walk behind render_text and render_latex.
+
+    Terms are grouped by (alpha, beta).  A pure polynomial group prints as
+    its monomials.  Any other group pulls out its gcd, signed so the leading
+    coefficient of its first part is positive, then its exponential, and
+    lays out its plain/cos/sin parts with _part, bracketing two or more.
+    """
+    groups: dict = {}
+    for t in expr.terms:
+        groups.setdefault((t.alpha, t.beta), {}).setdefault(t.trig, {})[t.k] = t.coeff
+    pieces = []
+    for (alpha, beta), by_trig in sorted(groups.items()):
+        if not alpha and not beta:
+            pieces += _monomials(by_trig[None], sp)
+            continue
+        polys = [(trig, by_trig[trig]) for trig in (None, "cos", "sin") if trig in by_trig]
+        first = polys[0][1]
+        coeffs = [c for _, poly in polys for c in poly.values()]
+        g = Fraction(
+            math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs))
+        )
+        g = g if first[max(first)] > 0 else -g
+        parts = [
+            _part(
+                {k: c / g for k, c in poly.items()},
+                trig and sp.trig.format(trig=trig, arg=_rate_x(beta, sp)),
+                sp,
+            )
+            for trig, poly in polys
+        ]
+        bits = [sp.rational(abs(g))] if abs(g) != 1 else []
+        exp = [sp.exp.format(arg=_rate_x(alpha, sp))] if alpha else []
+        if len(parts) == 1:
+            # the part's sign is +1 by the choice of g's sign
+            bits += exp if parts[0][1] == "1" else [parts[0][1], *exp]
+        else:
+            bits += [*exp, sp.group.format(body=_join_signed(parts))]
+        pieces.append((1 if g > 0 else -1, sp.times.join(bits)))
+    return _join_signed(pieces) or "0"
 
 
 def render_text(expr: RealExpr) -> str:
-    if expr.is_zero():
-        return "0"
-    pieces = []
-    for group in _groups(expr):
-        if group.alpha == 0 and group.beta == 0:
-            for s, c, k in _poly_monomials(group.parts[None]):
-                pieces.append((s, _monomial_text(c, k)))
-            continue
-        g = _frac_gcd(group.all_coeffs()) * group.lead_sign()
-        order = group.part_order()
-        parts = [
-            _part_text(
-                {k: c / g for k, c in group.parts[t].items()}, t, group.beta
-            )
-            for t in order
-        ]
-        bits = []
-        if abs(g) != 1:
-            bits.append(_fmt_q(abs(g)))
-        if len(parts) == 1:
-            body = parts[0][1]
-            # sign is +1 by the lead_sign choice
-            if group.alpha != 0:
-                body = f"{body}*{_exp_text(group.alpha)}" if body != "1" else _exp_text(group.alpha)
-            bits.append(body)
-        else:
-            if group.alpha != 0:
-                bits.append(_exp_text(group.alpha))
-            bits.append(f"({_join_signed(parts)})")
-        pieces.append((1 if g > 0 else -1, "*".join(bits)))
-    return _join_signed(pieces)
-
-
-# -- LaTeX --------------------------------------------------------------------
-
-
-def _monomial_latex(c: Fraction, k: int) -> str:
-    if k == 0:
-        return _fmt_q_latex(c)
-    body = _xpow_latex(k)
-    return body if c == 1 else f"{_fmt_q_latex(c)}{body}"
-
-
-def _poly_latex(poly: dict) -> str:
-    out = []
-    for i, (s, c, k) in enumerate(_poly_monomials(poly)):
-        sign = ("-" if s < 0 else "") if i == 0 else ("-" if s < 0 else "+")
-        out.append(sign + _monomial_latex(c, k))
-    return "".join(out)
-
-
-def _trig_latex(trig: str, beta: Fraction) -> str:
-    if beta == 1:
-        arg = "x"
-    elif beta.denominator == 1:
-        arg = f"{beta}x"
-    else:
-        arg = f"{_fmt_q_latex(beta)}x"
-    return f"\\{trig} {arg}"
-
-
-def _exp_latex(alpha: Fraction) -> str:
-    if alpha == 1:
-        body = "x"
-    elif alpha == -1:
-        body = "-x"
-    elif alpha.denominator == 1:
-        body = f"{alpha}x"
-    else:
-        body = f"{_fmt_q_latex(alpha)}x"
-    return f"e^{{{body}}}"
-
-
-def _part_latex(poly: dict, trig, beta: Fraction) -> tuple:
-    m = min(poly)
-    shifted = {k - m: c for k, c in poly.items()}
-    sign = 1 if shifted[max(shifted)] > 0 else -1
-    if sign < 0:
-        shifted = {k: -c for k, c in shifted.items()}
-    if len(shifted) == 1:
-        (j, c), = shifted.items()
-        body = _monomial_latex(c, j + m)
-        body = "" if body == "1" else body
-    else:
-        body = (_xpow_latex(m) if m else "") + f"({_poly_latex(shifted)})"
-    if trig is not None:
-        body += _trig_latex(trig, beta)
-    return sign, body or "1"
+    return _layout(expr, _TEXT)
 
 
 def render_latex(expr: RealExpr) -> str:
-    if expr.is_zero():
-        return "0"
-    pieces = []
-    for group in _groups(expr):
-        if group.alpha == 0 and group.beta == 0:
-            for s, c, k in _poly_monomials(group.parts[None]):
-                pieces.append((s, _monomial_latex(c, k)))
-            continue
-        g = _frac_gcd(group.all_coeffs()) * group.lead_sign()
-        order = group.part_order()
-        parts = [
-            _part_latex(
-                {k: c / g for k, c in group.parts[t].items()}, t, group.beta
-            )
-            for t in order
-        ]
-        bits = []
-        if abs(g) != 1:
-            bits.append(_fmt_q_latex(abs(g)))
-        if len(parts) == 1:
-            body = parts[0][1]
-            if group.alpha != 0:
-                body = _exp_latex(group.alpha) if body == "1" else body + _exp_latex(group.alpha)
-            bits.append(body)
-        else:
-            if group.alpha != 0:
-                bits.append(_exp_latex(group.alpha))
-            joined = "".join(
-                (("-" if s < 0 else "") if i == 0 else ("-" if s < 0 else "+")) + b
-                for i, (s, b) in enumerate(parts)
-            )
-            bits.append(f"\\left[{joined}\\right]")
-        pieces.append((1 if g > 0 else -1, "".join(bits)))
-    return _join_signed(pieces).replace(" - ", "-").replace(" + ", "+")
+    # the walk spells every sum with spaced signs; LaTeX sets them tight
+    return _layout(expr, _LATEX).replace(" - ", "-").replace(" + ", "+")
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -313,10 +182,10 @@ def _coeff_pieces(c: GaussianRational, j: int) -> tuple:
         sign = 1 if c.re > 0 else -1
         mag = abs(c.re)
         if not dpow:
-            return sign, _fmt_q(mag)
+            return sign, str(mag)
         if mag == 1:
             return sign, dpow
-        return sign, f"{_fmt_q(mag)}*{dpow}"
+        return sign, f"{mag}*{dpow}"
     body = f"({c.pretty()})"
     return 1, f"{body}*{dpow}" if dpow else body
 
@@ -338,7 +207,7 @@ def render_factored(F: FactoredOperator) -> str:
         prefix = "-"
     elif F.leading != 1:
         prefix = ""
-        bits.append(_fmt_q(F.leading))
+        bits.append(str(F.leading))
     else:
         prefix = ""
     for f in F.factors:
@@ -346,17 +215,17 @@ def render_factored(F: FactoredOperator) -> str:
             if f.alpha == 0:
                 base = "D"
             elif f.alpha > 0:
-                base = f"(D-{_fmt_q(f.alpha)})"
+                base = f"(D-{f.alpha})"
             else:
-                base = f"(D+{_fmt_q(-f.alpha)})"
+                base = f"(D+{-f.alpha})"
         else:
             inner = "D^2" if f.alpha == 0 else (
-                f"(D-{_fmt_q(f.alpha)})^2" if f.alpha > 0 else f"(D+{_fmt_q(-f.alpha)})^2"
+                f"(D-{f.alpha})^2" if f.alpha > 0 else f"(D+{-f.alpha})^2"
             )
-            base = f"({inner}+{_fmt_q(f.beta * f.beta)})"
+            base = f"({inner}+{f.beta * f.beta})"
         bits.append(base + (f"^{f.mult}" if f.mult > 1 else ""))
     if not bits:
-        bits.append(_fmt_q(F.leading))
+        bits.append(str(F.leading))
         prefix = ""
     return prefix + "*".join(bits)
 
@@ -378,7 +247,8 @@ def render_complex_text(expr: ComplexExpr) -> str:
     return " + ".join(bits)
 
 
-def trace_to_json(trace: SolveTrace) -> dict:
+def trace_to_json(trace) -> dict:
+    """JSON form of a solve.SolveTrace: one object per frequency step."""
     steps = []
     for step in trace.steps:
         steps.append(
@@ -398,7 +268,8 @@ def trace_to_json(trace: SolveTrace) -> dict:
     return {"operator": trace.operator.to_json(), "steps": steps}
 
 
-def trace_to_text(trace: SolveTrace) -> str:
+def trace_to_text(trace) -> str:
+    """The worked steps of a solve.SolveTrace, one indented block per frequency."""
     lines = []
     for i, step in enumerate(trace.steps, start=1):
         lines.append(f"step {i}: frequency lambda = {step.lam.pretty()}")

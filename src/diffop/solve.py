@@ -47,9 +47,6 @@ class InverseSeries:
     source: OperatorPoly
     order: int
 
-    def as_operator(self) -> OperatorPoly:
-        return OperatorPoly(self.coefficients)
-
 
 def series_invert(R: OperatorPoly, m: int) -> InverseSeries:
     """Coefficients s_0..s_m of the truncated inverse of R, R(0) != 0."""
@@ -95,24 +92,12 @@ class FrequencyStep:
     integrated: ComplexExpr
     contribution: ComplexExpr
 
-    def replay(self) -> ComplexExpr:
-        """Redo the arithmetic from the recorded inputs."""
-        q = self.series.as_operator().apply(self.rhs_poly)
-        u = antidifferentiate(q, self.resonance)
-        return ComplexExpr((t.coeff, t.k, self.lam) for t in u.terms)
-
 
 @dataclass(frozen=True)
 class SolveTrace:
     operator: OperatorPoly
     rhs_complex: ComplexExpr
     steps: tuple
-
-    def replay(self) -> ComplexExpr:
-        total = ComplexExpr()
-        for step in self.steps:
-            total = total + step.replay()
-        return total
 
 
 def solve_particular(P: OperatorPoly, g: RealExpr) -> Tuple[RealExpr, SolveTrace]:
@@ -129,13 +114,11 @@ def solve_particular(P: OperatorPoly, g: RealExpr) -> Tuple[RealExpr, SolveTrace
     for lam in gc.frequencies():
         poly = ComplexExpr((c, j, gauss(0)) for j, c in enumerate(gc.poly_at(lam)))
         shifted = P.shift(lam)
-        k = 0
-        while shifted.coeff(k).is_zero():
-            k += 1
+        k = shifted.valuation()
         stripped = OperatorPoly(shifted.coeffs[k:])
         m = max(t.k for t in poly.terms)
         series = series_invert(stripped, m)
-        applied = series.as_operator().apply(poly)
+        applied = OperatorPoly(series.coefficients).apply(poly)
         integrated = antidifferentiate(applied, k) if k else applied
         contribution = ComplexExpr((t.coeff, t.k, lam) for t in integrated.terms)
         steps.append(

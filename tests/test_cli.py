@@ -185,6 +185,15 @@ def test_verify_json_verdict(capsys):
     assert json.loads(out) == {"status": "exact"}
 
 
+def test_verify_json_residual(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--op", "3*D^2-2*D+8", "--rhs", "5*exp(3*x)",
+        "--candidate", "exp(3*x)", "--format", "json",
+    )
+    assert code == EXIT_RESIDUAL
+    assert json.loads(out) == {"status": "residual", "residual": "24*exp(3*x)"}
+
+
 def test_batch(capsys, monkeypatch):
     problems = {
         "problems": [

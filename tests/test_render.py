@@ -1,5 +1,6 @@
 """Pretty printers: text, LaTeX, JSON term lists, operator forms."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -164,3 +165,37 @@ trig_terms = st.builds(
 @settings(max_examples=120)
 def test_rendered_text_reparses_to_the_same_expression(e):
     assert parse_rhs(render_text(e)) == e
+
+
+# --- byte stability ----------------------------------------------------------
+
+# sha256 of the text and LaTeX renderings of _sweep_exprs(); a change of any
+# byte in either spelling changes it.
+SWEEP_SHA256 = "1b572dda020387d0c1963de28508bf1e99a89367d2122c1191affa9adfbfc6f9"
+
+
+def _sweep_exprs(count: int = 2000, seed: int = 20261018) -> list:
+    """Seeded answers with mixed rates, trig parts, powers to 12, +-1 coefficients."""
+    rng = random.Random(seed)
+    alphas = (F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-5, 3), F(12))
+    betas = (F(0), F(1), F(2), F(1, 3), F(7, 2), F(10))
+    exprs = []
+    for _ in range(count):
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            beta = rng.choice(betas)
+            trig = None if beta == 0 else rng.choice(("cos", "sin"))
+            if rng.random() < 0.4:
+                coeff = F(rng.choice((1, -1)))
+            else:
+                coeff = F(rng.randint(-40, 40), rng.randint(1, 30))
+            terms.append(RealTerm(coeff, rng.randint(0, 12), rng.choice(alphas), beta, trig))
+        exprs.append(RealExpr(terms))
+    return exprs
+
+
+def test_text_and_latex_bytes_are_stable():
+    digest = hashlib.sha256()
+    for e in _sweep_exprs():
+        digest.update(f"{render_text(e)}\n{render_latex(e)}\n".encode())
+    assert digest.hexdigest() == SWEEP_SHA256

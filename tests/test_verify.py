@@ -27,7 +27,6 @@ def test_exact_answer_passes():
     Y = rexpr((F(5, 29), 0, 3, 0, None))
     verdict = check_particular(P, g, Y)
     assert verdict.is_exact
-    assert verdict.to_json() == {"status": "exact"}
 
 
 def test_wrong_answer_reports_the_residual():
@@ -36,7 +35,6 @@ def test_wrong_answer_reports_the_residual():
     verdict = check_particular(P, g, rexpr((1, 0, 3, 0, None)))
     assert not verdict.is_exact
     assert verdict.residual == rexpr((24, 0, 3, 0, None))
-    assert verdict.to_json() == {"status": "residual", "residual": "24*exp(3*x)"}
 
 
 def test_constants_solve_first_derivative():
