@@ -35,11 +35,17 @@ EXACT = Verdict("exact")
 
 
 def check_particular(P: OperatorPoly, g: RealExpr, Y: RealExpr) -> Verdict:
-    """Exact symbolic residual P(D)Y - g; empty means Y solves the equation."""
-    residual = (P.apply(Y.to_complex()) - g.to_complex()).to_real()
-    if residual.is_zero():
+    """Exact symbolic residual P(D)Y - g; empty means Y solves the equation.
+
+    The image P(D)Y is folded back to real form, which raises
+    ConjugateSymmetryError unless it is conjugation-symmetric, and compared
+    with g there: both are canonical, so equality is structural and g is
+    never expanded into exponentials.
+    """
+    image = P.apply(Y.to_complex()).to_real()
+    if image == g:
         return EXACT
-    return Verdict("residual", residual)
+    return Verdict("residual", image - g)
 
 
 def check_kernel(P: OperatorPoly, basis: KernelBasis) -> Verdict:

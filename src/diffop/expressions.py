@@ -27,6 +27,8 @@ from typing import Iterable, Optional
 from .rationals import Fraction as _F
 from .rationals import GaussianRational, gauss
 
+_F0 = Fraction(0)
+
 
 class InternalInvariantError(Exception):
     """An invariant of the engine broke: a bug in diffop, never bad input."""
@@ -275,21 +277,31 @@ class RealExpr:
     def evaluate(self, x: float) -> float:
         return sum(t.evaluate(x) for t in self._terms)
 
+    def __sub__(self, other: "RealExpr") -> "RealExpr":
+        return RealExpr(
+            self._terms
+            + tuple(RealTerm(-t.coeff, t.k, t.alpha, t.beta, t.trig) for t in other._terms)
+        )
+
     def to_complex(self) -> ComplexExpr:
-        """Euler expansion: cos and sin become half-sums of e^(+-i beta x)."""
+        """Euler expansion: cos and sin become half-sums of e^(+-i beta x).
+
+        c cos(bx) = (c/2) e^(ibx) + (c/2) e^(-ibx) and
+        c sin(bx) = (-ic/2) e^(ibx) + (ic/2) e^(-ibx).
+        """
+        raw = GaussianRational._raw
         out = []
         for t in self._terms:
-            c = GaussianRational(t.coeff)
-            up = GaussianRational(t.alpha, t.beta)
-            down = GaussianRational(t.alpha, -t.beta)
+            up = raw(t.alpha, t.beta)
             if t.trig is None:
-                out.append(ComplexTerm(c, t.k, up))
-            elif t.trig == "cos":
-                half = c / 2
-                out.append(ComplexTerm(half, t.k, up))
-                out.append(ComplexTerm(half, t.k, down))
+                out.append(ComplexTerm(raw(t.coeff, _F0), t.k, up))
+                continue
+            down = raw(t.alpha, -t.beta)
+            half = t.coeff / 2
+            if t.trig == "cos":
+                out.append(ComplexTerm(raw(half, _F0), t.k, up))
+                out.append(ComplexTerm(raw(half, _F0), t.k, down))
             else:
-                half = c / gauss(0, 2)
-                out.append(ComplexTerm(half, t.k, up))
-                out.append(ComplexTerm(-half, t.k, down))
+                out.append(ComplexTerm(raw(_F0, -half), t.k, up))
+                out.append(ComplexTerm(raw(_F0, half), t.k, down))
         return ComplexExpr(out)

@@ -10,7 +10,14 @@ Juxtaposition multiplies ("3x", "2D^3", "(x-1)(x+1)").  Exponents are
 non-negative integer literals, except that `e^...` takes a rational
 multiple of x.  Decimal literals are read exactly ("0.25" is 1/4).
 Division is only by nonzero rational constants, and not at all inside
-operators.  Every rejection points at a span of the source text.
+operators.  Nesting (parenthesized groups, function and ``e^`` arguments,
+unary signs) is refused past MAX_DEPTH levels.  Every rejection points at a
+span of the source text.
+
+Both grammars compute on one dense value, ``_Dense``: each frequency lam
+maps to a Gaussian-integer coefficient vector over one common denominator
+(an operator is the single frequency 0).  ``ComplexExpr`` and
+``OperatorPoly`` are built once, from the finished value.
 
 ``factor_exact`` splits a real-rational operator into rational linear
 factors and irreducible quadratics (D-a)^2 + b^2 with rational a and b:
@@ -26,17 +33,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expressions import ComplexExpr, RealExpr
+from .expressions import ComplexExpr, ComplexTerm, RealExpr
 from .operators import (
     D,
     FactoredOperator,
     OperatorPoly,
     UnfactorableOverGaussianRationals,
 )
-from .rationals import GaussianRational, gauss, power
+from .rationals import GaussianRational, power
 
 _FUNCTIONS = ("sin", "cos", "exp")
 _IDENTS = ("D", "x", "e") + _FUNCTIONS
+
+# Deepest nesting accepted.  The grammar recurses once per level, so this
+# keeps hostile input like "(((...x...)))" far below Python's recursion limit.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
@@ -143,6 +155,12 @@ class _Parser:
         if tok is None or tok.kind != "rparen":
             self.fail_expected("')'")
         return self.advance()
+
+    def descend(self, tok: Token) -> None:
+        """Enter the nesting level tok opens; the caller leaves it by depth -= 1."""
+        if self.depth == MAX_DEPTH:
+            self.fail(tok, f"nesting deeper than {MAX_DEPTH} levels")
+        self.depth += 1
 
     # -- grammar ----------------------------------------------------------
 
@@ -184,12 +202,12 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
+        if tok is not None and tok.kind == "op" and tok.text in "+-":
             self.advance()
-            return self.neg(self.factor())
-        if tok is not None and tok.kind == "op" and tok.text == "+":
-            self.advance()
-            return self.factor()
+            self.descend(tok)
+            value = self.factor()
+            self.depth -= 1
+            return self.neg(value) if tok.text == "-" else value
         return self.power()
 
     def power(self):
@@ -218,8 +236,10 @@ class _Parser:
             return self.const(Fraction(tok.text))
         if tok.kind == "lparen":
             self.advance()
+            self.descend(tok)
             value = self.expr()
             self.expect_rparen()
+            self.depth -= 1
             return value
         if tok.kind == "ident":
             self.advance()
@@ -253,22 +273,162 @@ class _Parser:
         raise NotImplementedError
 
 
+# -- dense values -------------------------------------------------------------
+
+
+def _reduced(d: int, re: list, im: list) -> Optional[tuple]:
+    """(d, re, im) without trailing zero entries and divided by its gcd; None if zero."""
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if not n:
+        return None
+    if n < len(re):
+        re, im = re[:n], im[:n]
+    g = math.gcd(d, *re, *im)
+    if g != 1:
+        d, re, im = d // g, [x // g for x in re], [y // g for y in im]
+    return d, re, im
+
+
+def _summed(u: tuple, v: tuple) -> tuple:
+    """u + v over the least common denominator, not reduced."""
+    if len(u[1]) < len(v[1]):
+        u, v = v, u
+    (du, ur, ui), (dv, vr, vi) = u, v
+    d = math.lcm(du, dv)
+    su, sv = d // du, d // dv
+    re = [su * x for x in ur]
+    im = [su * y for y in ui]
+    for k, (x, y) in enumerate(zip(vr, vi)):
+        re[k] += sv * x
+        im[k] += sv * y
+    return d, re, im
+
+
+def _convolved(a: list, b: list) -> list:
+    """Coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    if any(b):
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    return out
+
+
+def _frequency_sum(lam: tuple, mu: tuple) -> tuple:
+    """The key of lam + mu, where the key (s, p, q) is lam = (p + qi)/s over the least s."""
+    (s, p, q), (t, u, v) = lam, mu
+    if not (u or v):
+        return lam
+    if not (p or q):
+        return mu
+    d, re, im = s * t, p * t + u * s, q * t + v * s
+    g = math.gcd(d, re, im)
+    return d // g, re // g, im // g
+
+
+def _product(u: tuple, v: tuple) -> tuple:
+    """u * v over the product of the denominators, not reduced."""
+    (du, ur, ui), (dv, vr, vi) = u, v
+    re = [x - y for x, y in zip(_convolved(ur, vr), _convolved(ui, vi))]
+    im = [x + y for x, y in zip(_convolved(ur, vi), _convolved(ui, vr))]
+    return du * dv, re, im
+
+
+class _Dense:
+    """A parsed value {lam: (d, re, im)}: the coefficient of x^k e^(lam x)
+    is (re[k] + im[k] i) / d.
+
+    lam is the key (s, p, q) of the frequency (p + qi)/s, which hashes and
+    adds as plain ints.  Each vector is reduced (see ``_reduced``), a
+    frequency whose vector vanishes has no entry, and zero is {}.  An
+    operator is the frequency 0 alone, with every imaginary part zero and
+    the vector indexed by the power of D.  A sum scales two vectors to a
+    common denominator and a product convolves each pair of frequencies, all
+    on plain ints (the fraction-free scheme of ``shift`` and ``apply``); one
+    gcd then reduces each result vector.  No vector changes once built.
+    """
+
+    __slots__ = ("freqs",)
+
+    def __init__(self, freqs: dict):
+        self.freqs = freqs
+
+    def __add__(self, other: "_Dense") -> "_Dense":
+        freqs = dict(self.freqs)
+        for lam, v in other.freqs.items():
+            if lam in freqs:
+                v = _reduced(*_summed(freqs[lam], v))
+                if v is None:
+                    del freqs[lam]
+                    continue
+            freqs[lam] = v
+        return _Dense(freqs)
+
+    def __neg__(self) -> "_Dense":
+        return _Dense(
+            {lam: (d, [-x for x in re], [-y for y in im]) for lam, (d, re, im) in self.freqs.items()}
+        )
+
+    def __sub__(self, other: "_Dense") -> "_Dense":
+        return self + -other
+
+    def __mul__(self, other: "_Dense") -> "_Dense":
+        acc: dict = {}
+        for lam, u in self.freqs.items():
+            for mu, v in other.freqs.items():
+                w = _product(u, v)
+                nu = _frequency_sum(lam, mu)
+                acc[nu] = _summed(acc[nu], w) if nu in acc else w
+        freqs = {}
+        for nu, w in acc.items():
+            w = _reduced(*w)
+            if w is not None:
+                freqs[nu] = w
+        return _Dense(freqs)
+
+    def expression(self) -> ComplexExpr:
+        terms = []
+        for (s, p, q), (d, re, im) in self.freqs.items():
+            lam = GaussianRational._raw(Fraction(p, s), Fraction(q, s))
+            for k, (x, y) in enumerate(zip(re, im)):
+                if x or y:
+                    terms.append(
+                        ComplexTerm(GaussianRational._raw(Fraction(x, d), Fraction(y, d)), k, lam)
+                    )
+        return ComplexExpr(terms)
+
+    def operator(self) -> OperatorPoly:
+        if not self.freqs:
+            return OperatorPoly()
+        d, re, _ = self.freqs[_ORIGIN]
+        return OperatorPoly(Fraction(x, d) for x in re)
+
+
+_ORIGIN = (1, 0, 0)  # the frequency 0
+
+
+def _constant(q: Fraction) -> _Dense:
+    return _Dense({_ORIGIN: (q.denominator, [q.numerator], [0])} if q else {})
+
+
+_ONE = _constant(Fraction(1))
+_VARIABLE = _Dense({_ORIGIN: (1, [0, 1], [0, 0])})  # x in a function, D in an operator
+
+
 # -- right-hand sides -------------------------------------------------------
-
-
-def _const_expr(q: Fraction) -> ComplexExpr:
-    return ComplexExpr(((GaussianRational(q), 0, gauss(0)),))
-
-
-_X = ComplexExpr(((gauss(1), 1, gauss(0)),))
-_ONE = _const_expr(Fraction(1))
 
 
 class _RhsParser(_Parser):
     atom_set = "a number, x, sin, cos, exp, e, or '('"
 
     def const(self, q):
-        return _const_expr(q)
+        return _constant(q)
+
+    def variable(self):
+        return _VARIABLE
 
     def add(self, a, b):
         return a + b
@@ -277,31 +437,35 @@ class _RhsParser(_Parser):
         return a - b
 
     def neg(self, a):
-        return a.scale(gauss(-1))
+        return -a
 
     def mul(self, a, b):
         return a * b
 
     def div(self, a, b, tok):
-        if b.is_zero():
+        if not b.freqs:
             self.fail(tok, "division by zero")
-        if len(b.terms) == 1 and b.terms[0].k == 0 and b.terms[0].lam.is_zero():
-            return a.scale(b.terms[0].coeff.inverse())
-        self.fail(tok, "can only divide by a nonzero rational constant")
+        v = b.freqs.get(_ORIGIN) if len(b.freqs) == 1 else None
+        if v is None or len(v[1]) != 1:
+            self.fail(tok, "can only divide by a nonzero rational constant")
+        # a real function's frequency-0 part is real, so b = v[1][0] / v[0]
+        return a * _constant(Fraction(v[0], v[1][0]))
 
     def pow(self, a, n):
         return power(a, n, _ONE)
 
     def ident(self, tok):
         if tok.text == "x":
-            return _X
+            return self.variable()
         if tok.text in _FUNCTIONS:
             opening = self.peek()
             if opening is None or opening.kind != "lparen":
                 self.fail_expected(f"'(' after {tok.text}")
             self.advance()
+            self.descend(tok)
             arg = self.expr()
             self.expect_rparen()
+            self.depth -= 1
             rate = self._linear_rate(arg, tok)
             return self._exponential(rate) if tok.text == "exp" else self._trig(tok.text, rate)
         if tok.text == "e":
@@ -309,41 +473,42 @@ class _RhsParser(_Parser):
             if caret is None or caret.kind != "op" or caret.text != "^":
                 self.fail_expected("'^' after e")
             self.advance()
+            self.descend(tok)
             arg = self.factor()
+            self.depth -= 1
             rate = self._linear_rate(arg, tok)
             return self._exponential(rate)
         if tok.text == "D":
             self.fail(tok, "the operator symbol D cannot appear in a function of x")
         self.fail(tok, f"unknown name {tok.text!r}")
 
-    def _linear_rate(self, arg: ComplexExpr, tok: Token) -> Fraction:
+    def _linear_rate(self, arg: _Dense, tok: Token) -> Fraction:
         """The rational c with arg = c*x; anything else is outside the family."""
-        if arg.is_zero():
+        if not arg.freqs:
             return Fraction(0)
-        if len(arg.terms) == 1:
-            t = arg.terms[0]
-            if t.k == 1 and t.lam.is_zero() and t.coeff.is_real():
-                return t.coeff.re
+        v = arg.freqs.get(_ORIGIN) if len(arg.freqs) == 1 else None
+        if v is not None:
+            d, re, im = v
+            if len(re) == 2 and not re[0] and not any(im):
+                return Fraction(re[1], d)
         self.fail(tok, f"argument of {tok.text} must be a rational multiple of x")
 
     @staticmethod
-    def _exponential(rate: Fraction) -> ComplexExpr:
-        return ComplexExpr(((gauss(1), 0, gauss(rate)),))
+    def _exponential(rate: Fraction) -> _Dense:
+        return _Dense({(rate.denominator, rate.numerator, 0): (1, [1], [0])})
 
     @staticmethod
-    def _trig(name: str, rate: Fraction) -> ComplexExpr:
-        up = gauss(0, rate)
-        down = gauss(0, -rate)
+    def _trig(name: str, rate: Fraction) -> _Dense:
+        """cos = (e^(i rate x) + e^(-i rate x)) / 2, sin = (e^(i rate x) - e^(-i rate x)) / 2i."""
+        up, down = (rate.denominator, 0, rate.numerator), (rate.denominator, 0, -rate.numerator)
         if name == "cos":
-            half = gauss(Fraction(1, 2))
-            return ComplexExpr(((half, 0, up), (half, 0, down)))
-        half = gauss(1) / gauss(0, 2)
-        return ComplexExpr(((half, 0, up), (-half, 0, down)))
+            return _Dense({up: (2, [1], [0])}) + _Dense({down: (2, [1], [0])})
+        return _Dense({up: (2, [0], [-1])}) + _Dense({down: (2, [0], [1])})
 
 
 def parse_rhs(src: str) -> RealExpr:
     """Parse a function of x; the result is exact and conjugation-symmetric."""
-    return _RhsParser(src).parse().to_real()
+    return _RhsParser(src).parse().expression().to_real()
 
 
 # -- operators ---------------------------------------------------------------
@@ -353,22 +518,24 @@ def parse_rhs(src: str) -> RealExpr:
 class _OpVal:
     """Operator value plus the factored structure seen so far, if any.
 
-    parts is None once the shape stops being a scalar times a product of
-    low-degree polynomials; scalar is meaningful only when parts is not None.
+    poly and the bases in parts are dense values.  parts is None once the
+    shape stops being a scalar times a product of low-degree polynomials;
+    scalar is meaningful only when parts is not None.
     """
 
-    poly: OperatorPoly
+    poly: _Dense
     scalar: Optional[Fraction]
     parts: Optional[tuple]
 
     @staticmethod
-    def wrap(poly: OperatorPoly) -> "_OpVal":
+    def wrap(poly: _Dense) -> "_OpVal":
         """Re-derive factor structure from a finished polynomial."""
-        if poly.degree == 0 and poly.is_real():
-            return _OpVal(poly, poly.coeffs[0].re, ())
-        if poly.is_zero():
+        if not poly.freqs:
             return _OpVal(poly, None, None)
-        if poly.degree <= 2 and poly.is_real():
+        d, re, _ = poly.freqs[_ORIGIN]
+        if len(re) == 1:
+            return _OpVal(poly, Fraction(re[0], d), ())
+        if len(re) <= 3:
             return _OpVal(poly, Fraction(1), ((poly, 1),))
         return _OpVal(poly, None, None)
 
@@ -385,11 +552,14 @@ class _OperatorParser(_Parser):
     atom_set = "a number, D, or '('"
 
     def const(self, q):
-        return _OpVal(OperatorPoly((q,)), q, ())
+        return _OpVal(_constant(q), q, ())
+
+    def variable(self):
+        return _OpVal(_VARIABLE, Fraction(1), ((_VARIABLE, 1),))
 
     def ident(self, tok):
         if tok.text == "D":
-            return _OpVal(D, Fraction(1), ((D, 1),))
+            return self.variable()
         if tok.text == "x":
             self.fail(tok, "the variable x cannot appear inside an operator")
         if tok.text in _FUNCTIONS or tok.text == "e":
@@ -419,7 +589,7 @@ class _OperatorParser(_Parser):
     def pow(self, a, n):
         if n == 0:
             return self.const(Fraction(1))
-        poly = a.poly**n
+        poly = power(a.poly, n, _ONE)
         if a.parts is None:
             return _OpVal(poly, None, None)
         return _OpVal(poly, a.scalar**n, tuple((base, m * n) for base, m in a.parts))
@@ -433,13 +603,16 @@ def parse_operator(src: str) -> ParsedOperator:
     expansion is returned.
     """
     value = _OperatorParser(src).parse()
+    poly = value.poly.operator()
     factored = None
-    if value.parts is not None and not value.poly.is_zero():
+    if value.parts is not None and not poly.is_zero():
         try:
-            factored = FactoredOperator.from_bases(value.scalar, value.parts)
+            factored = FactoredOperator.from_bases(
+                value.scalar, [(base.operator(), m) for base, m in value.parts]
+            )
         except UnfactorableOverGaussianRationals:
             factored = None
-    return ParsedOperator(value.poly, factored)
+    return ParsedOperator(poly, factored)
 
 
 # -- exact factorization over Q(i) -------------------------------------------

@@ -1,20 +1,34 @@
 """Text grammars for operators and right-hand sides, and exact factorization."""
 
+import io
+import json
+import math
 import random
+import sys
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from diffop import (
+    ComplexExpr,
     D,
     Factor,
+    FactoredOperator,
+    GaussianRational,
     OperatorPoly,
     ParseError,
+    RealExpr,
+    RealTerm,
     UnfactorableOverGaussianRationals,
     factor_exact,
+    gauss,
     parse_operator,
     parse_rhs,
 )
+from diffop.cli import EXIT_OK, EXIT_USAGE, main
+from diffop.parsing import MAX_DEPTH, _OperatorParser, _RhsParser
 from genutil import rand_factored, rexpr
 
 F = Fraction
@@ -253,3 +267,306 @@ def test_factor_round_trips_on_random_operators():
         P = f.expand()
         g = factor_exact(P)
         assert g.expand() == P, f
+
+
+# --- dense value algebra against the canonical one -------------------------
+
+
+def _const_expr(q):
+    return ComplexExpr(((GaussianRational(q), 0, gauss(0)),))
+
+
+_REF_X = ComplexExpr(((gauss(1), 1, gauss(0)),))
+
+
+class _ReferenceRhs(_RhsParser):
+    """The canonical ComplexExpr value algebra the dense vectors replaced.
+
+    Only the value hooks are overridden, so tokens, grammar and errors are
+    the parser's own; powers are plain repeated products.
+    """
+
+    def const(self, q):
+        return _const_expr(q)
+
+    def variable(self):
+        return _REF_X
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return a.scale(gauss(-1))
+
+    def mul(self, a, b):
+        return a * b
+
+    def div(self, a, b, tok):
+        if b.is_zero():
+            self.fail(tok, "division by zero")
+        if len(b.terms) == 1 and b.terms[0].k == 0 and b.terms[0].lam.is_zero():
+            return a.scale(b.terms[0].coeff.inverse())
+        self.fail(tok, "can only divide by a nonzero rational constant")
+
+    def pow(self, a, n):
+        result = _const_expr(F(1))
+        for _ in range(n):
+            result = result * a
+        return result
+
+    def _linear_rate(self, arg, tok):
+        if arg.is_zero():
+            return F(0)
+        if len(arg.terms) == 1:
+            t = arg.terms[0]
+            if t.k == 1 and t.lam.is_zero() and t.coeff.is_real():
+                return t.coeff.re
+        self.fail(tok, f"argument of {tok.text} must be a rational multiple of x")
+
+    @staticmethod
+    def _exponential(rate):
+        return ComplexExpr(((gauss(1), 0, gauss(rate)),))
+
+    @staticmethod
+    def _trig(name, rate):
+        up, down = gauss(0, rate), gauss(0, -rate)
+        if name == "cos":
+            half = gauss(F(1, 2))
+            return ComplexExpr(((half, 0, up), (half, 0, down)))
+        half = gauss(1) / gauss(0, 2)
+        return ComplexExpr(((half, 0, up), (-half, 0, down)))
+
+
+@dataclass(frozen=True)
+class _RefOpVal:
+    poly: OperatorPoly
+    scalar: object
+    parts: object
+
+    @staticmethod
+    def wrap(poly):
+        if poly.degree == 0 and poly.is_real():
+            return _RefOpVal(poly, poly.coeffs[0].re, ())
+        if poly.is_zero():
+            return _RefOpVal(poly, None, None)
+        if poly.degree <= 2 and poly.is_real():
+            return _RefOpVal(poly, F(1), ((poly, 1),))
+        return _RefOpVal(poly, None, None)
+
+
+class _ReferenceOperator(_OperatorParser):
+    """The OperatorPoly value algebra the dense vectors replaced."""
+
+    def const(self, q):
+        return _RefOpVal(OperatorPoly((q,)), q, ())
+
+    def variable(self):
+        return _RefOpVal(D, F(1), ((D, 1),))
+
+    def add(self, a, b):
+        return _RefOpVal.wrap(a.poly + b.poly)
+
+    def sub(self, a, b):
+        return _RefOpVal.wrap(a.poly - b.poly)
+
+    def neg(self, a):
+        if a.parts is None:
+            return _RefOpVal(-a.poly, None, None)
+        return _RefOpVal(-a.poly, -a.scalar, a.parts)
+
+    def mul(self, a, b):
+        poly = a.poly * b.poly
+        if a.parts is None or b.parts is None:
+            return _RefOpVal(poly, None, None)
+        return _RefOpVal(poly, a.scalar * b.scalar, a.parts + b.parts)
+
+    def pow(self, a, n):
+        if n == 0:
+            return self.const(F(1))
+        poly = OperatorPoly((1,))
+        for _ in range(n):
+            poly = poly * a.poly
+        if a.parts is None:
+            return _RefOpVal(poly, None, None)
+        return _RefOpVal(poly, a.scalar**n, tuple((base, m * n) for base, m in a.parts))
+
+
+def _reference_rhs(src):
+    return _ReferenceRhs(src).parse().to_real()
+
+
+def _reference_operator(src):
+    value = _ReferenceOperator(src).parse()
+    factored = None
+    if value.parts is not None and not value.poly.is_zero():
+        try:
+            factored = FactoredOperator.from_bases(value.scalar, value.parts)
+        except UnfactorableOverGaussianRationals:
+            factored = None
+    return value.poly, factored
+
+
+def _outcome(parse, src):
+    try:
+        return parse(src)
+    except ParseError as err:
+        return ("error", err.start, err.end, str(err))
+
+
+_RATES = ("x", "-x", "2*x", "-3*x", "x/2", "-2/3*x", "0.5*x", "3x", "(1/3)x", "0", "0*x", "-x/4", "1.25x")
+_OPERATOR_CONSTANTS = ("1", "2", "3", "7", "0", "0.5", "1.25", "12")  # no '/' in operators
+_CONSTANTS = _OPERATOR_CONSTANTS + ("(2/3)", "(-3/4)")
+
+
+class _SourceMaker:
+    """Random sources over one grammar; at most one power above 3 per source."""
+
+    def __init__(self, rng, operator):
+        self.rng = rng
+        self.operator = operator
+        self.big_power = True
+
+    def atom(self):
+        rng = self.rng
+        if self.operator:
+            return rng.choice(("D", "D", "D^2", "D^3", "2D", rng.choice(_OPERATOR_CONSTANTS), "(D-1)", "(D+2)"))
+        name = rng.choice(("x", "x", "x^2", "x^3", "3x", "num", "exp", "sin", "cos", "e"))
+        if name == "num":
+            return rng.choice(_CONSTANTS)
+        if name == "e":
+            return rng.choice(("e^x", "e^-x", "e^(-2*x)", "e^(x/3)", f"e^({rng.choice(_RATES)})"))
+        if name in ("exp", "sin", "cos"):
+            return f"{name}({rng.choice(_RATES)})"
+        return name
+
+    def source(self, depth=3):
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.25:
+            return self.atom()
+        kind = rng.choice(("sum", "sum", "product", "juxta", "power", "sign", "div"))
+        if kind == "sum":
+            return f"{self.source(depth - 1)} {rng.choice('+-')} {self.source(depth - 1)}"
+        if kind == "product":
+            return f"({self.source(depth - 1)})*({self.source(depth - 1)})"
+        if kind == "juxta":
+            return f"{rng.choice(('2', '3', '0.5'))}({self.source(depth - 1)})({self.source(depth - 1)})"
+        if kind == "sign":
+            return f"{rng.choice(('-', '+', '--', '-+'))}({self.source(depth - 1)})"
+        if kind == "div" and not self.operator:
+            return f"({self.source(depth - 1)})/{rng.choice(_CONSTANTS + ('(1-1)', '1.5', '(-2)'))}"
+        n = rng.randint(0, 3)
+        if self.big_power:
+            self.big_power = False
+            n = rng.randint(4, 12)
+            return f"({self.source(min(depth - 1, 1))})^{n}"
+        return f"({self.source(depth - 1)})^{n}"
+
+
+def test_rhs_parser_matches_canonical_reference():
+    rng = random.Random(20261018)
+    errors = 0
+    for _ in range(400):
+        src = _SourceMaker(rng, operator=False).source()
+        got = _outcome(parse_rhs, src)
+        assert got == _outcome(_reference_rhs, src), src
+        errors += isinstance(got, tuple)
+    assert 0 < errors < 100  # the sweep also reaches the rejections
+
+
+def test_operator_parser_matches_canonical_reference():
+    rng = random.Random(61018)
+    factored = 0
+    for _ in range(400):
+        src = _SourceMaker(rng, operator=True).source()
+        if rng.random() < 0.3:  # a product of powers, maybe with a leading scalar
+            bases = ("D-1", "D+2", "D", "2D-3", "D^2+4", "(D-1)^2+9", "D^2-2", "D^2+D+1")
+            src = rng.choice(("-2*", "3", "", "0.5")) + "*".join(
+                f"({rng.choice(bases)})^{rng.randint(1, 12)}" for _ in range(rng.randint(1, 3))
+            )
+        parsed = parse_operator(src)
+        poly, fact = _reference_operator(src)
+        assert parsed.poly == poly, src
+        assert parsed.factored == fact, src
+        factored += fact is not None
+    assert factored > 100
+
+
+def test_rejections_match_canonical_reference():
+    for src in ("1/x", "x/0", "x/(x-x)", "sin(x^2)", "exp(sin(x))", "e^2*x", "e^(x+1)",
+                "sin(2*x*x)", "cos(x)/cos(x)", "(x+1", "x)", "D*x", "exp(i*x)", "2 @ x"):
+        assert _outcome(parse_rhs, src) == _outcome(_reference_rhs, src), src
+        assert isinstance(_outcome(parse_rhs, src), tuple), src
+
+
+def test_operator_power_is_binomial():
+    assert parse_operator("(D+1)^600").poly.coeffs == tuple(
+        gauss(math.comb(600, j)) for j in range(601)
+    )
+
+
+def test_rhs_power_is_binomial():
+    assert parse_rhs("(x+1)^300*sin(x)") == RealExpr(
+        RealTerm(F(math.comb(300, k)), k, F(0), F(1), "sin") for k in range(301)
+    )
+
+
+def test_parser_power_cliffs_stay_fast():
+    # dense vectors take about 0.05 s each; canonical-expression products 1.4-1.7 s
+    for parse, src in ((parse_operator, "(D+1)^600"), (parse_rhs, "(x+1)^300*sin(x)")):
+        t0 = time.perf_counter()
+        parse(src)
+        assert time.perf_counter() - t0 < 0.5, src
+
+
+# --- nesting depth ----------------------------------------------------------
+
+
+def _nested(depth, kind):
+    if kind == "paren":
+        return "(" * depth + "x" + ")" * depth
+    if kind == "sign":
+        return "-" * depth + "x"
+    if kind == "exp":  # one function level, the rest parentheses
+        return "exp(" + "(" * (depth - 1) + "x" + ")" * (depth - 1) + ")"
+    return "e^" + "(" * (depth - 1) + "x" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("kind", ["paren", "sign", "exp", "e"])
+def test_solve_accepts_depth_100_and_refuses_101(capsys, kind):
+    code = main(["solve", "--op", "D-2", "--rhs", _nested(MAX_DEPTH, kind)])
+    out, _ = capsys.readouterr()
+    assert code == EXIT_OK and out.strip()
+    code = main(["solve", "--op", "D-2", "--rhs", _nested(MAX_DEPTH + 1, kind)])
+    _, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"nesting deeper than {MAX_DEPTH} levels" in err
+
+
+def test_deep_hostile_inputs_are_parse_errors():
+    for src in ("(" * 200 + "x" + ")" * 200, "-" * 1000 + "x", "exp(" * 300 + "x" + ")" * 300,
+                "e^" * 300 + "x"):
+        with pytest.raises(ParseError, match="nesting deeper than 100 levels") as info:
+            parse_rhs(src)
+        assert info.value.start < len(src) // 2
+    with pytest.raises(ParseError, match="nesting deeper") as info:
+        parse_operator("(" * 101 + "D" + ")" * 101)
+    assert (info.value.start, info.value.end) == (100, 101)
+
+
+def test_batch_answers_around_a_too_deep_item(capsys, monkeypatch):
+    problems = [
+        {"op": "D-2", "rhs": _nested(MAX_DEPTH, "paren")},
+        {"op": "D-2", "rhs": _nested(MAX_DEPTH + 1, "sign")},
+        {"op": "(" * (MAX_DEPTH + 1) + "D" + ")" * (MAX_DEPTH + 1), "rhs": "x"},
+        {"op": "(" * MAX_DEPTH + "D-2" + ")" * MAX_DEPTH, "rhs": _nested(MAX_DEPTH, "exp")},
+    ]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"problems": problems})))
+    assert main(["batch"]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in results] == ["ok", "error", "error", "ok"]
+    assert results[0]["answer"] == "-1/2*x - 1/4"
+    assert results[3]["answer"] == "-exp(x)"
+    assert "nesting deeper than 100 levels" in results[1]["error"]

@@ -4,13 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from diffop import (
+    ConjugateSymmetryError,
     D,
     KernelBasis,
     check_kernel,
     check_particular,
     kernel_basis,
     numeric_spot_check,
+    gauss,
     parse_operator,
     render_text,
     solve_particular,
@@ -35,6 +39,13 @@ def test_wrong_answer_reports_the_residual():
     verdict = check_particular(P, g, rexpr((1, 0, 3, 0, None)))
     assert not verdict.is_exact
     assert verdict.residual == rexpr((24, 0, 3, 0, None))
+
+
+def test_non_real_image_is_an_internal_error():
+    # an image that is not conjugation-symmetric is a fault, never a residual
+    P = D + gauss(0, 1)
+    with pytest.raises(ConjugateSymmetryError):
+        check_particular(P, rexpr((1, 0, 0, 0, None)), rexpr((1, 1, 0, 0, None)))
 
 
 def test_constants_solve_first_derivative():
