@@ -16,6 +16,7 @@ status "internal" instead of "error", and the batch itself still exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -215,6 +216,7 @@ def _add_operator_args(sub, with_coeffs: bool = True):
         )
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="diffop",
@@ -279,13 +281,15 @@ def _merge_flag_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_flag_values(list(argv)))
+        args = _build_parser().parse_args(_merge_flag_values(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # answers may print longer ints than CPython allows; parsing caps literals
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ParseError as err:
@@ -300,6 +304,8 @@ def main(argv=None) -> int:
     except InternalInvariantError as err:
         print(f"error: internal error: {err}; please report this input", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -20,13 +20,16 @@ and on one frequency D acts on the polynomial part alone,
 
 ``evaluate`` and ``shift`` implement the first two exactly, which is what
 lets the solver replace calculus with arithmetic in Q(i).  ``apply`` runs
-Horner's rule on the third, frequency by frequency.  It is the certificate's
-path and must not go through ``shift``, so the two stay independent.
+Horner's rule on the third, frequency by frequency, directly on the
+Gaussian-integer vectors a ``ComplexExpr`` holds, and returns one.  It is
+the certificate's path and must not go through ``shift``, so the two stay
+independent.
 
-Both ``shift`` and ``apply`` scale their inputs to Gaussian integers over a
-common denominator first (the fraction-free scheme of von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 5): the inner loops then run on
-plain ints, and each output coefficient is reduced by one gcd at the end.
+Both ``shift`` and ``apply`` scale the operator's coefficients to Gaussian
+integers over a common denominator first (the fraction-free scheme of von
+zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5, with the vector
+helpers of ``expressions``): the inner loops then run on plain ints, and
+each result is reduced by one gcd at the end.
 
 Coefficients are stored as GaussianRational throughout, even for operators
 built from real input: shifting by a complex frequency must not change the
@@ -35,28 +38,16 @@ representation.  The zero operator is the empty coefficient tuple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .expressions import ComplexExpr, ComplexTerm
-from .rationals import ZERO as _ZERO
+from .expressions import ComplexExpr, _integer_parts, _reduced
 from .rationals import GaussianRational, gauss, power, rat_sqrt, scalar_from_json, scalar_to_json
 
 
 class UnfactorableOverGaussianRationals(ValueError):
     """The operator has a root outside Q(i); no exact factorization exists here."""
-
-
-def _integer_parts(values) -> tuple:
-    """(d, re, im) with values[j] = (re[j] + im[j] i) / d over the least d."""
-    d = 1
-    for z in values:
-        d = math.lcm(d, z.re.denominator, z.im.denominator)
-    re = [z.re.numerator * (d // z.re.denominator) for z in values]
-    im = [z.im.numerator * (d // z.im.denominator) for z in values]
-    return d, re, im
 
 
 def _to_gauss(value) -> GaussianRational:
@@ -220,23 +211,16 @@ class OperatorPoly:
 
             R_n = A_n U,   R_j = s R_(j+1)' + (p + qi) R_(j+1) + s^(n-j) A_j U
 
-        on Gaussian-integer coefficient vectors, and r_0 = R_0 / (da du s^n)
-        is normalized once per coefficient.  No step goes through ``shift``.
+        on the Gaussian-integer vectors of ``f.freqs``, and r_0 = R_0 / (da du s^n)
+        is reduced once per frequency.  No step goes through ``shift``.
         """
         n = len(self._coeffs) - 1
         if n < 0:
-            return ComplexExpr()
+            return ComplexExpr._of({})
         da, are, aim = _integer_parts(self._coeffs)
-        groups: dict = {}
-        for t in f.terms:
-            groups.setdefault(t.lam, []).append(t)
-        out = []
-        for lam, terms in groups.items():
-            poly = [_ZERO] * (terms[-1].k + 1)  # terms of one lam are sorted by k
-            for t in terms:
-                poly[t.k] = t.coeff
-            du, ure, uim = _integer_parts(poly)
-            s, (p,), (q,) = _integer_parts((lam,))
+        freqs = {}
+        for lam, (du, ure, uim) in f.freqs.items():
+            s, p, q = lam
             a, b = are[n], aim[n]
             rre = [a * u - b * v for u, v in zip(ure, uim)]
             rim = [a * v + b * u for u, v in zip(ure, uim)]
@@ -256,12 +240,10 @@ class OperatorPoly:
                     nre[k - 1] += s * k * rre[k]
                     nim[k - 1] += s * k * rim[k]
                 rre, rim = nre, nim
-            den = da * du * spow
-            for k, (x, y) in enumerate(zip(rre, rim)):
-                if x or y:
-                    coeff = GaussianRational._raw(Fraction(x, den), Fraction(y, den))
-                    out.append(ComplexTerm(coeff, k, lam))
-        return ComplexExpr(out)
+            v = _reduced(da * du * spow, rre, rim)
+            if v is not None:
+                freqs[lam] = v
+        return ComplexExpr._of(freqs)
 
     def formal_derivative(self) -> "OperatorPoly":
         """dP/dD by the power rule (a polynomial in D, not an action on f)."""

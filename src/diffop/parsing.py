@@ -11,13 +11,15 @@ non-negative integer literals, except that `e^...` takes a rational
 multiple of x.  Decimal literals are read exactly ("0.25" is 1/4).
 Division is only by nonzero rational constants, and not at all inside
 operators.  Nesting (parenthesized groups, function and ``e^`` arguments,
-unary signs) is refused past MAX_DEPTH levels.  Every rejection points at a
-span of the source text.
+unary signs) is refused past MAX_DEPTH levels; literals longer than
+MAX_DIGITS digits, exponents and degrees above MAX_DEGREE, and products
+that could form more than MAX_COEFFICIENTS coefficients are refused too.
+Every rejection points at a span of the source text.
 
-Both grammars compute on one dense value, ``_Dense``: each frequency lam
-maps to a Gaussian-integer coefficient vector over one common denominator
-(an operator is the single frequency 0).  ``ComplexExpr`` and
-``OperatorPoly`` are built once, from the finished value.
+Both grammars compute on ``ComplexExpr`` values, whose Gaussian-integer
+vectors make sums and products plain integer work.  An operator is the
+frequency 0 alone, its vector indexed by the power of D; ``OperatorPoly``
+is built once, from the finished value.
 
 ``factor_exact`` splits a real-rational operator into rational linear
 factors and irreducible quadratics (D-a)^2 + b^2 with rational a and b:
@@ -33,14 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expressions import ComplexExpr, ComplexTerm, RealExpr
+from .expressions import ORIGIN, ComplexExpr, RealExpr
 from .operators import (
     D,
     FactoredOperator,
     OperatorPoly,
     UnfactorableOverGaussianRationals,
 )
-from .rationals import GaussianRational, power
+from .rationals import power
 
 _FUNCTIONS = ("sin", "cos", "exp")
 _IDENTS = ("D", "x", "e") + _FUNCTIONS
@@ -48,6 +50,14 @@ _IDENTS = ("D", "x", "e") + _FUNCTIONS
 # Deepest nesting accepted.  The grammar recurses once per level, so this
 # keeps hostile input like "(((...x...)))" far below Python's recursion limit.
 MAX_DEPTH = 100
+# Largest exponent, and largest degree in x or D of a power or product.
+MAX_DEGREE = 1000
+# Most coefficients a product may hold: pairs of frequencies of its factors
+# times its degree plus one.  With MAX_DEGREE it bounds parsing time and memory.
+MAX_COEFFICIENTS = 10_000
+# Longest numeric literal: CPython's default limit on int/str conversion,
+# which the CLI lifts while it runs so that long answers can be printed.
+MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,8 @@ def _tokenize(src: str) -> list:
                 j += 1
                 while j < n and src[j].isdigit():
                     j += 1
+            if j - i - ("." in src[i:j]) > MAX_DIGITS:
+                raise ParseError(src, i, j, f"numeric literal longer than {MAX_DIGITS} digits")
             tokens.append(Token("number", src[i:j], i, j))
             i = j
             continue
@@ -116,7 +128,8 @@ def _tokenize(src: str) -> list:
 
 
 class _Parser:
-    """Shared mechanics; subclasses supply the value algebra and atoms."""
+    """Shared mechanics and the checked algebra of ComplexExpr values;
+    subclasses supply the atoms (``const``, ``ident``) and ``div``."""
 
     atom_set = "a value"
 
@@ -190,13 +203,13 @@ class _Parser:
                 return value
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                value = self.mul(value, self.factor())
+                value = self.mul(value, self.factor(), tok)
             elif tok.kind == "op" and tok.text == "/":
                 self.advance()
                 value = self.div(value, self.factor(), tok)
             elif tok.kind in ("number", "ident", "lparen"):
                 # juxtaposition: same binding as '*'
-                value = self.mul(value, self.power())
+                value = self.mul(value, self.power(), tok)
             else:
                 return value
 
@@ -215,7 +228,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "^":
             self.advance()
-            return self.pow(value, self.integer_exponent())
+            return self.pow(value, self.integer_exponent(), tok)
         return value
 
     def integer_exponent(self) -> int:
@@ -246,176 +259,60 @@ class _Parser:
             return self.ident(tok)
         self.fail_expected(self.atom_set)
 
-    # -- value algebra, supplied by subclasses --------------------------
-
-    def const(self, q: Fraction):
-        raise NotImplementedError
-
-    def ident(self, tok: Token):
-        raise NotImplementedError
+    # -- value algebra on ComplexExpr, with the size limits -------------
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return a - b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
-    def mul(self, a, b):
-        raise NotImplementedError
+    def product(self, u: ComplexExpr, v: ComplexExpr, tok: Token) -> ComplexExpr:
+        """u * v, refused at tok past MAX_DEGREE, or before it is formed when its
+        pairs of frequencies could hold more than MAX_COEFFICIENTS coefficients."""
+        degree = _degree(u) + _degree(v)
+        if degree > MAX_DEGREE:
+            self.fail(tok, f"degree {degree} is over the limit of {MAX_DEGREE}")
+        size = len(u.freqs) * len(v.freqs) * (degree + 1)
+        if size > MAX_COEFFICIENTS:
+            self.fail(tok, f"product of {size} coefficients is over the limit of {MAX_COEFFICIENTS}")
+        return u * v
 
-    def div(self, a, b, tok: Token):
-        raise NotImplementedError
+    def raised(self, u: ComplexExpr, n: int, tok: Token) -> ComplexExpr:
+        """u^n by square-and-multiply, each product checked as in ``product``."""
+        if n > MAX_DEGREE:
+            self.fail(tok, f"exponent {n} is over the limit of {MAX_DEGREE}")
+        if n * _degree(u) > MAX_DEGREE:
+            self.fail(tok, f"degree {n * _degree(u)} is over the limit of {MAX_DEGREE}")
+        return power(u, n, _ONE, lambda a, b: self.product(a, b, tok))
 
-    def pow(self, a, n: int):
-        raise NotImplementedError
-
-
-# -- dense values -------------------------------------------------------------
-
-
-def _reduced(d: int, re: list, im: list) -> Optional[tuple]:
-    """(d, re, im) without trailing zero entries and divided by its gcd; None if zero."""
-    n = len(re)
-    while n and not re[n - 1] and not im[n - 1]:
-        n -= 1
-    if not n:
-        return None
-    if n < len(re):
-        re, im = re[:n], im[:n]
-    g = math.gcd(d, *re, *im)
-    if g != 1:
-        d, re, im = d // g, [x // g for x in re], [y // g for y in im]
-    return d, re, im
+    mul, pow = product, raised  # the operator grammar wraps them
 
 
-def _summed(u: tuple, v: tuple) -> tuple:
-    """u + v over the least common denominator, not reduced."""
-    if len(u[1]) < len(v[1]):
-        u, v = v, u
-    (du, ur, ui), (dv, vr, vi) = u, v
-    d = math.lcm(du, dv)
-    su, sv = d // du, d // dv
-    re = [su * x for x in ur]
-    im = [su * y for y in ui]
-    for k, (x, y) in enumerate(zip(vr, vi)):
-        re[k] += sv * x
-        im[k] += sv * y
-    return d, re, im
+# -- values ------------------------------------------------------------------
 
 
-def _convolved(a: list, b: list) -> list:
-    """Coefficients of the product of two integer polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    if any(b):
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-    return out
-
-
-def _frequency_sum(lam: tuple, mu: tuple) -> tuple:
-    """The key of lam + mu, where the key (s, p, q) is lam = (p + qi)/s over the least s."""
-    (s, p, q), (t, u, v) = lam, mu
-    if not (u or v):
-        return lam
-    if not (p or q):
-        return mu
-    d, re, im = s * t, p * t + u * s, q * t + v * s
-    g = math.gcd(d, re, im)
-    return d // g, re // g, im // g
-
-
-def _product(u: tuple, v: tuple) -> tuple:
-    """u * v over the product of the denominators, not reduced."""
-    (du, ur, ui), (dv, vr, vi) = u, v
-    re = [x - y for x, y in zip(_convolved(ur, vr), _convolved(ui, vi))]
-    im = [x + y for x, y in zip(_convolved(ur, vi), _convolved(ui, vr))]
-    return du * dv, re, im
-
-
-class _Dense:
-    """A parsed value {lam: (d, re, im)}: the coefficient of x^k e^(lam x)
-    is (re[k] + im[k] i) / d.
-
-    lam is the key (s, p, q) of the frequency (p + qi)/s, which hashes and
-    adds as plain ints.  Each vector is reduced (see ``_reduced``), a
-    frequency whose vector vanishes has no entry, and zero is {}.  An
-    operator is the frequency 0 alone, with every imaginary part zero and
-    the vector indexed by the power of D.  A sum scales two vectors to a
-    common denominator and a product convolves each pair of frequencies, all
-    on plain ints (the fraction-free scheme of ``shift`` and ``apply``); one
-    gcd then reduces each result vector.  No vector changes once built.
-    """
-
-    __slots__ = ("freqs",)
-
-    def __init__(self, freqs: dict):
-        self.freqs = freqs
-
-    def __add__(self, other: "_Dense") -> "_Dense":
-        freqs = dict(self.freqs)
-        for lam, v in other.freqs.items():
-            if lam in freqs:
-                v = _reduced(*_summed(freqs[lam], v))
-                if v is None:
-                    del freqs[lam]
-                    continue
-            freqs[lam] = v
-        return _Dense(freqs)
-
-    def __neg__(self) -> "_Dense":
-        return _Dense(
-            {lam: (d, [-x for x in re], [-y for y in im]) for lam, (d, re, im) in self.freqs.items()}
-        )
-
-    def __sub__(self, other: "_Dense") -> "_Dense":
-        return self + -other
-
-    def __mul__(self, other: "_Dense") -> "_Dense":
-        acc: dict = {}
-        for lam, u in self.freqs.items():
-            for mu, v in other.freqs.items():
-                w = _product(u, v)
-                nu = _frequency_sum(lam, mu)
-                acc[nu] = _summed(acc[nu], w) if nu in acc else w
-        freqs = {}
-        for nu, w in acc.items():
-            w = _reduced(*w)
-            if w is not None:
-                freqs[nu] = w
-        return _Dense(freqs)
-
-    def expression(self) -> ComplexExpr:
-        terms = []
-        for (s, p, q), (d, re, im) in self.freqs.items():
-            lam = GaussianRational._raw(Fraction(p, s), Fraction(q, s))
-            for k, (x, y) in enumerate(zip(re, im)):
-                if x or y:
-                    terms.append(
-                        ComplexTerm(GaussianRational._raw(Fraction(x, d), Fraction(y, d)), k, lam)
-                    )
-        return ComplexExpr(terms)
-
-    def operator(self) -> OperatorPoly:
-        if not self.freqs:
-            return OperatorPoly()
-        d, re, _ = self.freqs[_ORIGIN]
-        return OperatorPoly(Fraction(x, d) for x in re)
-
-
-_ORIGIN = (1, 0, 0)  # the frequency 0
-
-
-def _constant(q: Fraction) -> _Dense:
-    return _Dense({_ORIGIN: (q.denominator, [q.numerator], [0])} if q else {})
+def _constant(q: Fraction) -> ComplexExpr:
+    return ComplexExpr._of({ORIGIN: (q.denominator, [q.numerator], [0])} if q else {})
 
 
 _ONE = _constant(Fraction(1))
-_VARIABLE = _Dense({_ORIGIN: (1, [0, 1], [0, 0])})  # x in a function, D in an operator
+_VARIABLE = ComplexExpr._of({ORIGIN: (1, [0, 1], [0, 0])})  # x in a function, D in an operator
+
+
+def _degree(value: ComplexExpr) -> int:
+    return max((len(re) for _, re, _ in value.freqs.values()), default=1) - 1
+
+
+def _operator(value: ComplexExpr) -> OperatorPoly:
+    """The operator whose coefficients are the frequency-0 vector, indexed by the power of D."""
+    if not value.freqs:
+        return OperatorPoly()
+    d, re, _ = value.freqs[ORIGIN]
+    return OperatorPoly(Fraction(x, d) for x in re)
 
 
 # -- right-hand sides -------------------------------------------------------
@@ -430,29 +327,14 @@ class _RhsParser(_Parser):
     def variable(self):
         return _VARIABLE
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def div(self, a, b, tok):
         if not b.freqs:
             self.fail(tok, "division by zero")
-        v = b.freqs.get(_ORIGIN) if len(b.freqs) == 1 else None
+        v = b.freqs.get(ORIGIN) if len(b.freqs) == 1 else None
         if v is None or len(v[1]) != 1:
             self.fail(tok, "can only divide by a nonzero rational constant")
         # a real function's frequency-0 part is real, so b = v[1][0] / v[0]
         return a * _constant(Fraction(v[0], v[1][0]))
-
-    def pow(self, a, n):
-        return power(a, n, _ONE)
 
     def ident(self, tok):
         if tok.text == "x":
@@ -482,11 +364,11 @@ class _RhsParser(_Parser):
             self.fail(tok, "the operator symbol D cannot appear in a function of x")
         self.fail(tok, f"unknown name {tok.text!r}")
 
-    def _linear_rate(self, arg: _Dense, tok: Token) -> Fraction:
+    def _linear_rate(self, arg: ComplexExpr, tok: Token) -> Fraction:
         """The rational c with arg = c*x; anything else is outside the family."""
         if not arg.freqs:
             return Fraction(0)
-        v = arg.freqs.get(_ORIGIN) if len(arg.freqs) == 1 else None
+        v = arg.freqs.get(ORIGIN) if len(arg.freqs) == 1 else None
         if v is not None:
             d, re, im = v
             if len(re) == 2 and not re[0] and not any(im):
@@ -494,21 +376,21 @@ class _RhsParser(_Parser):
         self.fail(tok, f"argument of {tok.text} must be a rational multiple of x")
 
     @staticmethod
-    def _exponential(rate: Fraction) -> _Dense:
-        return _Dense({(rate.denominator, rate.numerator, 0): (1, [1], [0])})
+    def _exponential(rate: Fraction) -> ComplexExpr:
+        return ComplexExpr._of({(rate.denominator, rate.numerator, 0): (1, [1], [0])})
 
     @staticmethod
-    def _trig(name: str, rate: Fraction) -> _Dense:
+    def _trig(name: str, rate: Fraction) -> ComplexExpr:
         """cos = (e^(i rate x) + e^(-i rate x)) / 2, sin = (e^(i rate x) - e^(-i rate x)) / 2i."""
         up, down = (rate.denominator, 0, rate.numerator), (rate.denominator, 0, -rate.numerator)
         if name == "cos":
-            return _Dense({up: (2, [1], [0])}) + _Dense({down: (2, [1], [0])})
-        return _Dense({up: (2, [0], [-1])}) + _Dense({down: (2, [0], [1])})
+            return ComplexExpr._of({up: (2, [1], [0])}) + ComplexExpr._of({down: (2, [1], [0])})
+        return ComplexExpr._of({up: (2, [0], [-1])}) + ComplexExpr._of({down: (2, [0], [1])})
 
 
 def parse_rhs(src: str) -> RealExpr:
     """Parse a function of x; the result is exact and conjugation-symmetric."""
-    return _RhsParser(src).parse().expression().to_real()
+    return _RhsParser(src).parse().to_real()
 
 
 # -- operators ---------------------------------------------------------------
@@ -518,21 +400,21 @@ def parse_rhs(src: str) -> RealExpr:
 class _OpVal:
     """Operator value plus the factored structure seen so far, if any.
 
-    poly and the bases in parts are dense values.  parts is None once the
+    poly and the bases in parts are ComplexExpr values.  parts is None once the
     shape stops being a scalar times a product of low-degree polynomials;
     scalar is meaningful only when parts is not None.
     """
 
-    poly: _Dense
+    poly: ComplexExpr
     scalar: Optional[Fraction]
     parts: Optional[tuple]
 
     @staticmethod
-    def wrap(poly: _Dense) -> "_OpVal":
+    def wrap(poly: ComplexExpr) -> "_OpVal":
         """Re-derive factor structure from a finished polynomial."""
         if not poly.freqs:
             return _OpVal(poly, None, None)
-        d, re, _ = poly.freqs[_ORIGIN]
+        d, re, _ = poly.freqs[ORIGIN]
         if len(re) == 1:
             return _OpVal(poly, Fraction(re[0], d), ())
         if len(re) <= 3:
@@ -577,8 +459,8 @@ class _OperatorParser(_Parser):
             return _OpVal(-a.poly, None, None)
         return _OpVal(-a.poly, -a.scalar, a.parts)
 
-    def mul(self, a, b):
-        poly = a.poly * b.poly
+    def mul(self, a, b, tok):
+        poly = self.product(a.poly, b.poly, tok)
         if a.parts is None or b.parts is None:
             return _OpVal(poly, None, None)
         return _OpVal(poly, a.scalar * b.scalar, a.parts + b.parts)
@@ -586,10 +468,10 @@ class _OperatorParser(_Parser):
     def div(self, a, b, tok):
         self.fail(tok, "division is not allowed inside an operator")
 
-    def pow(self, a, n):
+    def pow(self, a, n, tok):
         if n == 0:
             return self.const(Fraction(1))
-        poly = power(a.poly, n, _ONE)
+        poly = self.raised(a.poly, n, tok)
         if a.parts is None:
             return _OpVal(poly, None, None)
         return _OpVal(poly, a.scalar**n, tuple((base, m * n) for base, m in a.parts))
@@ -603,12 +485,12 @@ def parse_operator(src: str) -> ParsedOperator:
     expansion is returned.
     """
     value = _OperatorParser(src).parse()
-    poly = value.poly.operator()
+    poly = _operator(value.poly)
     factored = None
     if value.parts is not None and not poly.is_zero():
         try:
             factored = FactoredOperator.from_bases(
-                value.scalar, [(base.operator(), m) for base, m in value.parts]
+                value.scalar, [(_operator(base), m) for base, m in value.parts]
             )
         except UnfactorableOverGaussianRationals:
             factored = None

@@ -10,6 +10,7 @@ value; results are exact or an exception is raised, never a rounded number.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -30,20 +31,21 @@ def rat_from_json(obj: dict) -> Fraction:
     return Fraction(int(obj["num"]), int(obj["den"]))
 
 
-def power(base, exponent: int, one):
+def power(base, exponent: int, one, mul=operator.mul):
     """base**exponent for exponent >= 0 by square-and-multiply, one the unit.
 
     Serves every ``**`` on exact values: Gaussian rationals, operator
-    polynomials and the parser's expressions; about log2(exponent) squarings
-    instead of exponent products.
+    polynomials and the parser's expressions, whose products the parser
+    checks against its size limits through ``mul``; about log2(exponent)
+    squarings instead of exponent products.
     """
     result = one
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = mul(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .expressions import ComplexExpr, RealExpr, RealTerm
+from .expressions import ORIGIN, ComplexExpr, RealExpr, RealTerm, _ordered, _reduced, _scalar
 from .operators import FactoredOperator, OperatorPoly
 from .rationals import GaussianRational, gauss
 
@@ -66,17 +66,21 @@ def series_invert(R: OperatorPoly, m: int) -> InverseSeries:
 def antidifferentiate(p: ComplexExpr, k: int) -> ComplexExpr:
     """k-fold antiderivative of a pure polynomial, integration constants zero.
 
-    Each monomial maps by x^j -> x^(j+k) * j!/(j+k)!.
+    Each monomial maps by x^j -> x^(j+k) * j!/(j+k)!, on the vector as the
+    integer (m+k)! j!/(j+k)! over (m+k)! for a polynomial of degree m.
     """
     if k < 0:
         raise ValueError("negative antidifferentiation order")
-    out = []
-    for t in p.terms:
-        if not t.lam.is_zero():
-            raise ValueError("antidifferentiate expects a polynomial (lam = 0)")
-        ratio = Fraction(math.factorial(t.k), math.factorial(t.k + k))
-        out.append((t.coeff * ratio, t.k + k, t.lam))
-    return ComplexExpr(out)
+    if any(key != ORIGIN for key in p.freqs):
+        raise ValueError("antidifferentiate expects a polynomial (lam = 0)")
+    if p.is_zero():
+        return p
+    d, re, im = p.freqs[ORIGIN]
+    whole = math.factorial(len(re) - 1 + k)
+    scale = [whole // math.perm(j + k, k) for j in range(len(re))]
+    nre = [0] * k + [f * x for f, x in zip(scale, re)]
+    nim = [0] * k + [f * y for f, y in zip(scale, im)]
+    return ComplexExpr._of({ORIGIN: _reduced(d * whole, nre, nim)})
 
 
 @dataclass(frozen=True)
@@ -110,22 +114,22 @@ def solve_particular(P: OperatorPoly, g: RealExpr) -> Tuple[RealExpr, SolveTrace
         raise ValueError("cannot solve against the zero operator")
     gc = g.to_complex()
     steps = []
-    total = ComplexExpr()
-    for lam in gc.frequencies():
-        poly = ComplexExpr((c, j, gauss(0)) for j, c in enumerate(gc.poly_at(lam)))
+    total = {}
+    for key in _ordered(gc.freqs):
+        lam = _scalar(key)
+        poly = ComplexExpr._of({ORIGIN: gc.freqs[key]})
         shifted = P.shift(lam)
         k = shifted.valuation()
         stripped = OperatorPoly(shifted.coeffs[k:])
-        m = max(t.k for t in poly.terms)
-        series = series_invert(stripped, m)
+        series = series_invert(stripped, len(gc.freqs[key][1]) - 1)
         applied = OperatorPoly(series.coefficients).apply(poly)
         integrated = antidifferentiate(applied, k) if k else applied
-        contribution = ComplexExpr((t.coeff, t.k, lam) for t in integrated.terms)
+        total[key] = integrated.freqs[ORIGIN]
+        contribution = ComplexExpr._of({key: total[key]})
         steps.append(
             FrequencyStep(lam, poly, shifted, k, series, applied, integrated, contribution)
         )
-        total = total + contribution
-    Y = total.to_real()
+    Y = ComplexExpr._of(total).to_real()
     return Y, SolveTrace(P, gc, tuple(steps))
 
 

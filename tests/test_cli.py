@@ -257,3 +257,82 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-2/3*sin(2*x)"
+
+
+def test_one_parser_serves_alternating_calls(capsys):
+    general = json.dumps(
+        {
+            "answer": {
+                "text": "x",
+                "latex": "x",
+                "terms": [
+                    {
+                        "coeff": {"num": "1", "den": "1"},
+                        "k": 1,
+                        "alpha": {"num": "0", "den": "1"},
+                        "beta": {"num": "0", "den": "1"},
+                        "trig": None,
+                    }
+                ],
+            },
+            "verdict": {"status": "exact"},
+            "general": [{"label": "C1", "element": "cos(x)"}, {"label": "C2", "element": "sin(x)"}],
+        },
+        indent=2,
+    )
+    calls = [
+        (("solve", "--op", "D^2+1", "--rhs", "x", "--general", "--format", "json"),
+         EXIT_OK, general + "\n", ""),
+        (("solve", "--op", "D^2+1", "--rhs", "x"), EXIT_OK, "x\n", ""),
+        (("kernel", "--op", "D^2+1"), EXIT_OK, "cos(x)\nsin(x)\n", ""),
+        (("verify", "--op", "D^2+1", "--rhs", "x", "--candidate", "x"), EXIT_OK, "exact\n", ""),
+        (("solve", "--op", "D^2+1"), EXIT_USAGE, "",
+         "usage: diffop solve [-h] (--op OP | --coeffs COEFFS) --rhs RHS\n"
+         "                    [--format {text,latex,json}] [--general] [--explain]\n"
+         "diffop solve: error: the following arguments are required: --rhs\n"),
+    ]
+    for _ in range(3):
+        for argv, code, out, err in calls:
+            assert run(capsys, *argv) == (code, out, err), argv
+
+
+# CPython refuses to turn ints of more than this many digits into text.
+_INT_STR_DIGITS = 4300
+_LONG_ANSWER = ("100*D-1", "x^1000")  # the constant term of the answer has 4,568 digits
+
+
+def _longest_number(text):
+    return max(len(run) for run in "".join(c if c.isdigit() else " " for c in text).split())
+
+
+def test_answers_longer_than_the_int_str_limit_print(capsys):
+    before = sys.get_int_max_str_digits()
+    op, rhs = _LONG_ANSWER
+    code, out, err = run(capsys, "solve", "--op", op, "--rhs", rhs)
+    assert (code, err) == (EXIT_OK, "")
+    assert _longest_number(out) > _INT_STR_DIGITS
+    assert sys.get_int_max_str_digits() == before
+    # restored on the failing paths too
+    assert run(capsys, "solve", "--op", "D +", "--rhs", "x")[0] == EXIT_USAGE
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_batch_answers_longer_than_the_int_str_limit(capsys, monkeypatch):
+    op, rhs = _LONG_ANSWER
+    problems = {"problems": [{"op": op, "rhs": rhs}, {"op": "D-1", "rhs": "9" * 4301}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(problems)))
+    assert main(["batch"]) == EXIT_OK
+    long_answer, long_literal = json.loads(capsys.readouterr().out)
+    assert long_answer["status"] == "ok"
+    assert _longest_number(long_answer["answer"]) > _INT_STR_DIGITS
+    assert long_literal == {
+        "status": "error",
+        "error": "1:1: numeric literal longer than 4300 digits",
+    }
+
+
+def test_internal_failure_restores_the_int_str_limit(capsys, monkeypatch):
+    before = sys.get_int_max_str_digits()
+    monkeypatch.setattr(diffop.cli, "solve_particular", _broken_fold)
+    assert run(capsys, "solve", "--op", "D^2+4", "--rhs", "sin(2*x)")[0] == EXIT_INTERNAL
+    assert sys.get_int_max_str_digits() == before

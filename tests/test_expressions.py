@@ -1,5 +1,6 @@
 """Canonical symbolic expressions and their exact calculus."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from diffop import (
     RealTerm,
     gauss,
 )
-from genutil import cexpr, rexpr
+from genutil import cexpr, rand_fraction, rand_gauss, rexpr
+from termref import TermSum
 
 fractions = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 gaussians = st.builds(gauss, fractions, fractions)
@@ -215,3 +217,81 @@ def test_complex_evaluation_agrees_with_real(e, x):
     r = e.evaluate(x)
     assert abs(z.imag) < 1e-9 * (1 + abs(r))
     assert abs(z.real - r) < 1e-9 * (1 + abs(r))
+
+
+# --- dense form against the term-merge reference ---------------------------
+
+
+def _rand_terms(rng):
+    """A raw (coeff, k, lam) list over up to four frequencies (rational and
+    Gaussian rates with denominators), with repeated (lam, k) pairs, pairs
+    that cancel, and conjugate partners for most terms, so that ``to_real``
+    meets both symmetric and broken inputs."""
+    lams = [gauss(0), gauss(rand_fraction(rng, 4, nonzero=True))]
+    lams += [rand_gauss(rng, 5, nonzero=True) for _ in range(2)]
+    terms = []
+    for _ in range(rng.randint(0, 7)):
+        c, k, lam = rand_gauss(rng, 9), rng.randint(0, 5), rng.choice(lams)
+        if lam.is_real() and rng.random() < 0.8:
+            c = gauss(c.re)
+        terms.append((c, k, lam))
+        if rng.random() < 0.15:
+            terms.append((-c, k, lam))
+        if rng.random() < 0.15:
+            terms.append((rand_gauss(rng, 3), k, lam))
+        if not lam.is_real() and rng.random() < 0.8:
+            terms.append((c.conjugate(), k, lam.conjugate()))
+    rng.shuffle(terms)
+    return terms
+
+
+def _same(dense, ref):
+    """dense holds exactly the reference value, seen through every accessor."""
+    assert dense.terms == ref.terms
+    assert dense == ref.expr() and hash(dense) == hash(ref.expr())
+    assert dense.is_zero() == ref.is_zero()
+    lams = ref.frequencies()
+    assert dense.frequencies() == lams
+    for lam in lams + [gauss(7, -7)]:
+        assert dense.poly_at(lam) == ref.poly_at(lam)
+
+
+def _folded(value):
+    try:
+        return value.to_real()
+    except ConjugateSymmetryError:
+        return "asymmetric"
+
+
+def test_dense_form_matches_term_merge_reference():
+    rng = random.Random(20261018)
+    folds = errors = 0
+    for _ in range(300):
+        ta, tb = _rand_terms(rng), _rand_terms(rng)
+        a, b, ra, rb = ComplexExpr(ta), ComplexExpr(tb), TermSum(ta), TermSum(tb)
+        _same(a, ra)
+        c = rng.choice((gauss(0), rand_gauss(rng, 6), gauss(rand_fraction(rng, 6))))
+        for dense, ref in (
+            (a + b, ra + rb),
+            (a - b, ra - rb),
+            (a * b, ra * rb),
+            (-a, ra.scale(gauss(-1))),
+            (a.scale(c), ra.scale(c)),
+            (a.differentiate(), ra.differentiate()),
+            (a.differentiate().differentiate(), ra.differentiate().differentiate()),
+        ):
+            _same(dense, ref)
+            real = _folded(ref)
+            assert _folded(dense) == real
+            if isinstance(real, RealExpr):
+                folds += 1
+                _same(real.to_complex(), TermSum.from_real(real))
+            else:
+                errors += 1
+        # equal values built along different paths agree on == and hash
+        shuffled = ComplexExpr(rng.sample(ta, len(ta)))
+        assert a == shuffled and hash(a) == hash(shuffled)
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert (a - a) == ComplexExpr() and hash(a - a) == hash(ComplexExpr())
+        assert (a == b) == (ra.terms == rb.terms)
+    assert folds > 300 and errors > 300  # both fold outcomes are exercised

@@ -17,6 +17,7 @@ from diffop import (
     gauss,
 )
 from genutil import cexpr, rand_complex_expr, rand_fraction, rand_gauss, rand_operator
+from termref import TermSum
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=5)
 gaussians = st.builds(gauss, fractions, fractions)
@@ -170,15 +171,15 @@ def test_shift_identity_randomized():
 
 
 def _apply_by_differentiation(p: OperatorPoly, f: ComplexExpr) -> ComplexExpr:
-    """Reference P(D) f: sum of a_j D^j f by repeated exact differentiation."""
-    result = ComplexExpr()
-    current = f
+    """Reference P(D) f: sum of a_j D^j f by repeated term-merge differentiation."""
+    result = TermSum()
+    current = TermSum(f.terms)
     for j, a in enumerate(p.coeffs):
         if j > 0:
             current = current.differentiate()
         if not a.is_zero():
             result = result + current.scale(a)
-    return result
+    return result.expr()
 
 
 def _rand_multi_frequency(rng: random.Random) -> ComplexExpr:

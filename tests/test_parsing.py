@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from diffop import (
-    ComplexExpr,
     D,
     Factor,
     FactoredOperator,
@@ -28,8 +27,16 @@ from diffop import (
     parse_rhs,
 )
 from diffop.cli import EXIT_OK, EXIT_USAGE, main
-from diffop.parsing import MAX_DEPTH, _OperatorParser, _RhsParser
+from diffop.parsing import (
+    MAX_COEFFICIENTS,
+    MAX_DEGREE,
+    MAX_DEPTH,
+    MAX_DIGITS,
+    _OperatorParser,
+    _RhsParser,
+)
 from genutil import rand_factored, rexpr
+from termref import TermSum
 
 F = Fraction
 
@@ -269,21 +276,22 @@ def test_factor_round_trips_on_random_operators():
         assert g.expand() == P, f
 
 
-# --- dense value algebra against the canonical one -------------------------
+# --- parser values against the term-merge reference --------------------------
 
 
 def _const_expr(q):
-    return ComplexExpr(((GaussianRational(q), 0, gauss(0)),))
+    return TermSum(((GaussianRational(q), 0, gauss(0)),))
 
 
-_REF_X = ComplexExpr(((gauss(1), 1, gauss(0)),))
+_REF_X = TermSum(((gauss(1), 1, gauss(0)),))
 
 
 class _ReferenceRhs(_RhsParser):
-    """The canonical ComplexExpr value algebra the dense vectors replaced.
+    """The term-merge value algebra of ``termref.TermSum``.
 
     Only the value hooks are overridden, so tokens, grammar and errors are
-    the parser's own; powers are plain repeated products.
+    the parser's own; powers are plain repeated products, unchecked against
+    the parser's size limits.
     """
 
     def const(self, q):
@@ -301,7 +309,7 @@ class _ReferenceRhs(_RhsParser):
     def neg(self, a):
         return a.scale(gauss(-1))
 
-    def mul(self, a, b):
+    def mul(self, a, b, tok):
         return a * b
 
     def div(self, a, b, tok):
@@ -311,7 +319,7 @@ class _ReferenceRhs(_RhsParser):
             return a.scale(b.terms[0].coeff.inverse())
         self.fail(tok, "can only divide by a nonzero rational constant")
 
-    def pow(self, a, n):
+    def pow(self, a, n, tok):
         result = _const_expr(F(1))
         for _ in range(n):
             result = result * a
@@ -328,16 +336,16 @@ class _ReferenceRhs(_RhsParser):
 
     @staticmethod
     def _exponential(rate):
-        return ComplexExpr(((gauss(1), 0, gauss(rate)),))
+        return TermSum(((gauss(1), 0, gauss(rate)),))
 
     @staticmethod
     def _trig(name, rate):
         up, down = gauss(0, rate), gauss(0, -rate)
         if name == "cos":
             half = gauss(F(1, 2))
-            return ComplexExpr(((half, 0, up), (half, 0, down)))
+            return TermSum(((half, 0, up), (half, 0, down)))
         half = gauss(1) / gauss(0, 2)
-        return ComplexExpr(((half, 0, up), (-half, 0, down)))
+        return TermSum(((half, 0, up), (-half, 0, down)))
 
 
 @dataclass(frozen=True)
@@ -377,13 +385,13 @@ class _ReferenceOperator(_OperatorParser):
             return _RefOpVal(-a.poly, None, None)
         return _RefOpVal(-a.poly, -a.scalar, a.parts)
 
-    def mul(self, a, b):
+    def mul(self, a, b, tok):
         poly = a.poly * b.poly
         if a.parts is None or b.parts is None:
             return _RefOpVal(poly, None, None)
         return _RefOpVal(poly, a.scalar * b.scalar, a.parts + b.parts)
 
-    def pow(self, a, n):
+    def pow(self, a, n, tok):
         if n == 0:
             return self.const(F(1))
         poly = OperatorPoly((1,))
@@ -570,3 +578,67 @@ def test_batch_answers_around_a_too_deep_item(capsys, monkeypatch):
     assert results[0]["answer"] == "-1/2*x - 1/4"
     assert results[3]["answer"] == "-exp(x)"
     assert "nesting deeper than 100 levels" in results[1]["error"]
+
+
+# --- input size budget ------------------------------------------------------
+
+
+def test_long_literals_are_refused_at_their_span(capsys):
+    src = "x + " + "7" * (MAX_DIGITS + 1) + "*x"
+    with pytest.raises(ParseError, match=f"numeric literal longer than {MAX_DIGITS} digits") as info:
+        parse_rhs(src)
+    assert (info.value.start, info.value.end) == (4, 4 + MAX_DIGITS + 1)
+    with pytest.raises(ParseError, match="longer than"):
+        parse_operator("D + 1." + "5" * MAX_DIGITS)
+    assert parse_rhs("9" * MAX_DIGITS) == rexpr((int("9" * MAX_DIGITS), 0, 0, 0, None))
+    assert main(["solve", "--op", "D-1", "--rhs", src]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: 1:5: numeric literal longer than {MAX_DIGITS} digits"
+    assert err[2] == "      " + "^" * (MAX_DIGITS + 1)
+
+
+# (parse, source, offending token, message); each once took seconds to minutes
+_HOSTILE = (
+    (parse_operator, "(D+1)^3000", "^", f"exponent 3000 is over the limit of {MAX_DEGREE}"),
+    (parse_rhs, "(x+1)^20000", "^", f"exponent 20000 is over the limit of {MAX_DEGREE}"),
+    (parse_rhs, "x^99999999999", "^", f"exponent 99999999999 is over the limit of {MAX_DEGREE}"),
+    (parse_rhs, "(exp(x)+1)^100000", "^", f"exponent 100000 is over the limit of {MAX_DEGREE}"),
+    (parse_rhs, "(exp(x)+1)^1000", "^", f"over the limit of {MAX_COEFFICIENTS}"),
+    (parse_operator, "(D^2+1)^501", "^", f"degree 1002 is over the limit of {MAX_DEGREE}"),
+    (parse_rhs, "x^600*x^401", "*", f"degree 1001 is over the limit of {MAX_DEGREE}"),
+    (parse_rhs, "(x+1)^600(x-1)^401", "(", f"degree 1001 is over the limit of {MAX_DEGREE}"),
+    (parse_rhs, "(exp(x)+sin(x)+cos(2x))^40*sin(x)", "^", f"over the limit of {MAX_COEFFICIENTS}"),
+)
+
+
+@pytest.mark.parametrize("parse, src, token, message", _HOSTILE)
+def test_oversized_inputs_fail_fast_at_their_operator(parse, src, token, message):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match=message) as info:
+        parse(src)
+    assert time.perf_counter() - t0 < 0.1, src
+    assert src[info.value.start:info.value.end] == token
+    assert src.rfind(token) == info.value.start
+
+
+def test_inputs_at_the_limits_parse():
+    assert parse_operator("D^1000").poly.degree == MAX_DEGREE
+    assert parse_rhs("x^500*x^500") == rexpr((1, MAX_DEGREE, 0, 0, None))
+    assert len(parse_rhs("(exp(x)+1)^100").terms) == 101
+    assert len(parse_rhs("(x+1)^300*sin(x)").terms) == 301
+
+
+def test_oversized_inputs_exit_64_and_mark_only_their_batch_item(capsys, monkeypatch):
+    assert main(["solve", "--op", "(D+1)^3000", "--rhs", "x"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: 1:6: exponent 3000 is over the limit of {MAX_DEGREE}",
+        "  (D+1)^3000",
+        "       ^",
+    ]
+    problems = [{"op": "D-2", "rhs": "x"}, {"op": "D-2", "rhs": "(x+1)^20000"}, {"op": "D^2+1", "rhs": "x"}]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"problems": problems})))
+    assert main(["batch"]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in results] == ["ok", "error", "ok"]
+    assert results[1]["error"] == f"1:6: exponent 20000 is over the limit of {MAX_DEGREE}"
