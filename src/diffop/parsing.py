@@ -12,9 +12,10 @@ multiple of x.  Decimal literals are read exactly ("0.25" is 1/4).
 Division is only by nonzero rational constants, and not at all inside
 operators.  Nesting (parenthesized groups, function and ``e^`` arguments,
 unary signs) is refused past MAX_DEPTH levels; literals longer than
-MAX_DIGITS digits, exponents and degrees above MAX_DEGREE, and products
-that could form more than MAX_COEFFICIENTS coefficients are refused too.
-Every rejection points at a span of the source text.
+MAX_DIGITS digits, exponents and degrees above MAX_DEGREE, products that
+could form more than MAX_COEFFICIENTS coefficients, and products whose
+factors hold more than MAX_BITS bits are refused too.  Every rejection
+points at a span of the source text.
 
 Both grammars compute on ``ComplexExpr`` values, whose Gaussian-integer
 vectors make sums and products plain integer work.  An operator is the
@@ -22,10 +23,16 @@ frequency 0 alone, its vector indexed by the power of D; ``OperatorPoly``
 is built once, from the finished value.
 
 ``factor_exact`` splits a real-rational operator into rational linear
-factors and irreducible quadratics (D-a)^2 + b^2 with rational a and b:
-rational-root search over divisor candidates, then a bounded search over
-primitive integer quadratic divisors.  Roots outside Q(i) raise
-UnfactorableOverGaussianRationals.
+factors and irreducible quadratics (D-a)^2 + b^2 with rational a and b,
+by modular roots rather than a search (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 5, 14, 15).  It takes the square-free part g of the
+integer polynomial, finds the roots of g modulo the least prime p = 1 mod 4
+that keeps g square-free (so that i exists mod p), as gcd(g, x^p - x) split
+by equal-degree splitting, and Newton-lifts them modulo a power of p large
+enough for the bounds on root height.  Rational roots and conjugate pairs
+are then read off the lifted roots, and each candidate is kept only if it
+divides exactly over Z, so the modular side never decides the answer.
+Roots outside Q(i) raise UnfactorableOverGaussianRationals.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expressions import ORIGIN, ComplexExpr, RealExpr
+from .expressions import ORIGIN, ComplexExpr, InternalInvariantError, RealExpr, _convolved
 from .operators import (
     D,
     FactoredOperator,
@@ -58,6 +65,11 @@ MAX_COEFFICIENTS = 10_000
 # Longest numeric literal: CPython's default limit on int/str conversion,
 # which the CLI lifts while it runs so that long answers can be printed.
 MAX_DIGITS = 4300
+# Most bits the factors of a product may hold together, each counted by its
+# largest numerator part or denominator (a power u^n counts as n factors u),
+# so that no product or power forms coefficients much past 20,000 digits.
+# Admits a MAX_DIGITS-digit literal to the fourth power.
+MAX_BITS = 65_536
 
 
 @dataclass(frozen=True)
@@ -271,6 +283,12 @@ class _Parser:
         return -a
 
     def product(self, u: ComplexExpr, v: ComplexExpr, tok: Token) -> ComplexExpr:
+        """u * v, refused at tok before it is formed when its factors hold more
+        than MAX_BITS bits together, or when ``formed`` refuses it."""
+        self.bounded(_bits(u) + _bits(v), tok)
+        return self.formed(u, v, tok)
+
+    def formed(self, u: ComplexExpr, v: ComplexExpr, tok: Token) -> ComplexExpr:
         """u * v, refused at tok past MAX_DEGREE, or before it is formed when its
         pairs of frequencies could hold more than MAX_COEFFICIENTS coefficients."""
         degree = _degree(u) + _degree(v)
@@ -282,12 +300,19 @@ class _Parser:
         return u * v
 
     def raised(self, u: ComplexExpr, n: int, tok: Token) -> ComplexExpr:
-        """u^n by square-and-multiply, each product checked as in ``product``."""
+        """u^n by square-and-multiply, refused up front past MAX_DEGREE or when
+        n factors u would hold more than MAX_BITS bits, and each product
+        checked as in ``formed``."""
         if n > MAX_DEGREE:
             self.fail(tok, f"exponent {n} is over the limit of {MAX_DEGREE}")
         if n * _degree(u) > MAX_DEGREE:
             self.fail(tok, f"degree {n * _degree(u)} is over the limit of {MAX_DEGREE}")
-        return power(u, n, _ONE, lambda a, b: self.product(a, b, tok))
+        self.bounded(n * _bits(u), tok)
+        return power(u, n, _ONE, lambda a, b: self.formed(a, b, tok))
+
+    def bounded(self, bits: int, tok: Token) -> None:
+        if bits > MAX_BITS:
+            self.fail(tok, f"{bits}-bit coefficients are over the limit of {MAX_BITS} bits")
 
     mul, pow = product, raised  # the operator grammar wraps them
 
@@ -305,6 +330,14 @@ _VARIABLE = ComplexExpr._of({ORIGIN: (1, [0, 1], [0, 0])})  # x in a function, D
 
 def _degree(value: ComplexExpr) -> int:
     return max((len(re) for _, re, _ in value.freqs.values()), default=1) - 1
+
+
+def _bits(value: ComplexExpr) -> int:
+    """Bit length of the largest denominator or numerator part in value."""
+    top = 0
+    for d, re, im in value.freqs.values():
+        top = max(top, d, max(re), -min(re), max(im), -min(im))
+    return top.bit_length()
 
 
 def _operator(value: ComplexExpr) -> OperatorPoly:
@@ -500,84 +533,175 @@ def parse_operator(src: str) -> ParsedOperator:
 # -- exact factorization over Q(i) -------------------------------------------
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _trimmed(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _integerize(coeffs: list) -> list:
-    """Scale rational coefficients to a primitive integer vector."""
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    content = math.gcd(*(abs(v) for v in ints))
-    return [v // content for v in ints]
+def _derivative(f: list) -> list:
+    return [j * c for j, c in enumerate(f)][1:]
 
-def _eval_frac(coeffs: list, r: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * r + c
+
+def _exact_quotient(f: list, d: list) -> Optional[list]:
+    """f / d when the integer polynomial d divides f over Z, else None."""
+    if d[0] and f[0] % d[0]:  # then d(0) does not divide f(0): a cheap early no
+        return None
+    r, n = list(f), len(d) - 1
+    q = [0] * (len(f) - n)
+    for i in range(len(q) - 1, -1, -1):
+        q[i], rest = divmod(r[i + n], d[-1])
+        if rest:
+            return None
+        for j in range(n):
+            r[i + j] -= q[i] * d[j]
+    return None if any(r[:n]) else q
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """The remainder of lc(b)^(deg a - deg b + 1) * a by b over Z."""
+    r, n = list(a), len(b) - 1
+    while len(r) > n:
+        c = r.pop()
+        r = [x * b[-1] for x in r]
+        for j in range(n):
+            r[len(r) - n + j] -= c * b[j]
+    return _trimmed(r)
+
+
+def _primitive(a: list) -> list:
+    """a over its content, with a positive leading coefficient."""
+    content = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [x // content for x in a]
+
+
+def _squarefree_part(f: list) -> list:
+    """f / gcd(f, f') for a primitive f, the gcd by the primitive remainder sequence."""
+    a, b = f, _primitive(_derivative(f))
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+        if b:
+            b = _primitive(b)
+    return _exact_quotient(f, a)
+
+
+# Polynomials over GF(p) are integer lists, low to high; results come reduced and trimmed.
+
+
+def _mod_divmod(a: list, b: list, p: int) -> tuple:
+    """Quotient and remainder of a by b over GF(p); b[-1] is not 0 mod p."""
+    r, n = list(a), len(b) - 1
+    inverse = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - n, 0)
+    for i in range(len(r) - 1, n - 1, -1):
+        c = q[i - n] = r[i] * inverse % p
+        if c:
+            r[i - n:i] = [x - c * y for x, y in zip(r[i - n:i], b)]
+    return q, _trimmed([x % p for x in r[:n]])
+
+
+def _mod_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over GF(p) of a and b, not both 0 mod p."""
+    a, b = _trimmed([x % p for x in a]), _trimmed([x % p for x in b])
+    while b:
+        a, b = b, _mod_divmod(a, b, p)[1]
+    inverse = pow(a[-1], -1, p)
+    return [x * inverse % p for x in a]
+
+
+def _mod_power(base: list, n: int, modulus: list, p: int) -> list:
+    """base^n modulo the polynomial modulus over GF(p), for n >= 1."""
+    return power(base, n, [1], lambda a, b: _mod_divmod(_convolved(a, b), modulus, p)[1])
+
+
+def _primes_1_mod_4():
+    p = 1
+    while True:
+        p += 4
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+
+
+def _mod_roots(g: list, p: int) -> list:
+    """The roots of g in GF(p): gcd(g, x^p - x), split by equal-degree splitting."""
+    g = [c % p for c in g]
+    xp = _mod_power([0, 1], p, g, p) + [0, 0]
+    xp[1] -= 1
+    return _split(_mod_gcd(g, xp, p), p)
+
+
+def _split(h: list, p: int, start: int = 0) -> list:
+    """The roots of a monic h over GF(p) that is a product of distinct linear
+    factors.  gcd(h, (x + delta)^((p-1)/2) - 1) keeps the roots r for which
+    r + delta is a nonzero square.  For any two roots, (p-1)/2 shifts make one
+    of them a square there and the other a non-square, and any of those would
+    have separated the two in the parent; the shifts below start did not, so
+    one from start on splits h."""
+    if len(h) <= 2:
+        return [-h[0] % p] if len(h) == 2 else []
+    for delta in range(start, p):
+        w = _mod_power([delta, 1], (p - 1) // 2, h, p) or [0]
+        w[0] -= 1
+        a = _mod_gcd(h, w, p)
+        if 1 < len(a) < len(h):
+            return _split(a, p, delta + 1) + _split(_mod_divmod(h, a, p)[0], p, delta + 1)
+    raise InternalInvariantError(f"no shift splits {h} over GF({p})")
+
+
+def _lifted(g: list, roots: list, p: int, bound: int) -> tuple:
+    """Newton-lift simple roots of g mod p to a modulus m = p^(2^k) > bound: (roots, m)."""
+    dg, m = _derivative(g), p
+    while m <= bound:
+        m *= m
+        roots = [(r - _value(g, r, m) * pow(_value(dg, r, m), -1, m)) % m for r in roots]
+    return roots, m
+
+
+def _value(f: list, r: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * r + c) % m
     return acc
 
 
-def _divmod_monic(num: list, den: list):
-    """Long division by a monic polynomial, both lists low to high."""
-    num = list(num)
-    d = len(den) - 1
-    quot = [Fraction(0)] * max(0, len(num) - d)
-    for i in range(len(num) - 1, d - 1, -1):
-        q = num[i]
-        if not q:
-            continue
-        quot[i - d] = q
-        for j in range(d + 1):
-            num[i - d + j] -= q * den[j]
-    rem = num[:d]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
+def _symmetric(x: int, m: int) -> int:
+    x %= m
+    return x - m if x > m // 2 else x
 
 
-def _find_rational_root(work: list) -> Optional[Fraction]:
-    """First root p/q with p | trailing and q | leading of the primitive form."""
-    ints = _integerize(work)
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                if _eval_frac(work, r) == 0:
-                    return r
-    return None
+def _gaussian_divisors(g: list) -> list:
+    """The primitive divisors of the square-free integer polynomial g with roots
+    in Q(i): b*D - a for each rational root a/b, by (|a|, b, + before -), then
+    e*D^2 + u*D + v for each pair of conjugate roots, by (e, v, u).
 
-
-def _find_rational_quadratic(work: list) -> Optional[tuple]:
-    """Monic (c0, c1) with D^2 + c1 D + c0 dividing work, roots in Q(i).
-
-    A primitive integer divisor e D^2 + u D + v must have e | leading and
-    v | trailing; complex-conjugate roots force e, v the same sign, and the
-    imaginary part is rational exactly when 4ev - u^2 is a perfect square.
+    A root a/b has |a| <= |g(0)| and b | lc, and a pair has v <= |g(0)|, e | lc
+    and |u| < 2*sqrt(e*v).  So once m > 2*N^2, the residues mod m of lc*r for a
+    root r, and of lc*(r+s) and lc*r*s for a pair, are the integers a*lc/b,
+    -u*lc/e and v*lc/e: rational reconstruction with the denominator known
+    to divide lc.  Candidates are kept only if they divide g exactly.
     """
-    ints = _integerize(work)
-    for e in _divisors(ints[-1]):
-        for v in _divisors(ints[0]):
-            u_limit = math.isqrt(4 * e * v - 1)
-            for u in range(-u_limit, u_limit + 1):
-                d = 4 * e * v - u * u
-                s = math.isqrt(d)
-                if s * s != d:
-                    continue
-                c1, c0 = Fraction(u, e), Fraction(v, e)
-                _, rem = _divmod_monic(work, [c0, c1, Fraction(1)])
-                if not rem:
-                    return c0, c1
-    return None
+    lc, a0 = abs(g[-1]), abs(g[0])
+    # the least p = 1 mod 4 that spares lc and keeps g square-free: gcd(g, g') = 1 mod p
+    p = next(p for p in _primes_1_mod_4() if lc % p and len(_mod_gcd(g, _derivative(g), p)) == 1)
+    n = max(a0, lc, 2 * math.isqrt(lc * a0) + 2)
+    roots, m = _lifted(g, _mod_roots(g, p), p, 2 * n * n)
+    linear, rest = [], []
+    for r in roots:
+        d = _primitive([-_symmetric(lc * r, m), lc])
+        if _exact_quotient(g, d) is None:
+            rest.append(r)
+        else:
+            linear.append(d)
+    quadratic = []
+    for i, r in enumerate(rest):
+        for s in rest[i + 1:]:
+            d = _primitive([_symmetric(lc * r * s, m), -_symmetric(lc * (r + s), m), lc])
+            disc = 4 * d[0] * d[2] - d[1] * d[1]
+            if disc > 0 and math.isqrt(disc) ** 2 == disc and _exact_quotient(g, d) is not None:
+                quadratic.append(d)
+    linear.sort(key=lambda d: (abs(d[0]), d[1], d[0] > 0))
+    quadratic.sort(key=lambda d: (d[2], d[0], d[1]))
+    return linear + quadratic
 
 
 def factor_exact(P: OperatorPoly) -> FactoredOperator:
@@ -585,7 +709,11 @@ def factor_exact(P: OperatorPoly) -> FactoredOperator:
 
     Output factors are rational linear terms and irreducible quadratics
     (D-a)^2 + b^2; conjugate Gaussian-rational root pairs appear as the
-    latter.  The expansion of the result reproduces P exactly.
+    latter.  The zero root comes first, then rational roots a/b by
+    (|a|, b, + before -), then pairs by their primitive divisor
+    e*D^2 + u*D + v, ordered by (e, v, u).  The roots are found modulo a
+    prime and lifted, but every factor is confirmed by exact division over Z,
+    so the result is exact; its expansion reproduces P.
     """
     if P.is_zero():
         raise ValueError("cannot factor the zero operator")
@@ -593,44 +721,20 @@ def factor_exact(P: OperatorPoly) -> FactoredOperator:
         raise ValueError("factorization expects real coefficients")
     coeffs = [c.re for c in P.coeffs]
     leading = coeffs[-1]
-    work = [c / leading for c in coeffs]
-    bases = []
-    k = 0
-    while work[k] == 0:
-        k += 1
-    if k:
-        bases.append((D, k))
-        work = work[k:]
-    while len(work) > 1:
-        root = _find_rational_root(work)
-        if root is not None:
-            base = [-root, Fraction(1)]
-            mult = 0
-            while True:
-                quot, rem = _divmod_monic(work, base)
-                if rem:
-                    break
-                work = quot
-                mult += 1
-            bases.append((OperatorPoly(base), mult))
-            continue
-        if len(work) > 2:
-            quad = _find_rational_quadratic(work)
-            if quad is not None:
-                c0, c1 = quad
-                base = [c0, c1, Fraction(1)]
-                mult = 0
-                while True:
-                    quot, rem = _divmod_monic(work, base)
-                    if rem:
-                        break
-                    work = quot
-                    mult += 1
-                bases.append((OperatorPoly(base), mult))
-                continue
+    denominator = math.lcm(*(c.denominator for c in coeffs))
+    f = _primitive([int(c * denominator) for c in coeffs])
+    k = next(j for j, c in enumerate(f) if c)
+    bases = [(D, k)] if k else []
+    f = f[k:]
+    for d in _gaussian_divisors(_squarefree_part(f)) if len(f) > 1 else ():
+        mult = 0
+        while (quotient := _exact_quotient(f, d)) is not None:
+            f, mult = quotient, mult + 1
+        bases.append((OperatorPoly(Fraction(c, d[-1]) for c in d), mult))
+    if len(f) > 1:
         residual = " + ".join(
-            f"({c})*D^{j}" if j else f"({c})"
-            for j, c in enumerate(work)
+            f"({Fraction(c, f[-1])})*D^{j}" if j else f"({Fraction(c, f[-1])})"
+            for j, c in enumerate(f)
             if c
         )
         raise UnfactorableOverGaussianRationals(

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -145,6 +146,44 @@ def test_kernel_unfactorable_exit_code(capsys):
     code, _, err = run(capsys, "kernel", "--op", "D^2-2")
     assert code == EXIT_UNFACTORABLE
     assert "D^2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--op", "D^3+10^15"),
+        ("kernel", "--op", "D^4+1000000000001"),
+        ("kernel", "--op", "D^3+10^21"),
+        ("solve", "--general", "--op", "D^3+10^15", "--rhs", "x"),
+    ],
+)
+def test_tall_unfactorable_operators_exit_65_fast(capsys, argv):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.1, argv
+    assert code == EXIT_UNFACTORABLE
+    assert err.startswith("error: operator is not factorable over Q(i): no further factor")
+    if argv[-1] == "D^3+10^15":
+        # D^3 + 10^15 = (D + 10^5) (D^2 - 10^5 D + 10^10), and only the root -10^5 is in Q(i)
+        assert err.rstrip().endswith("divides (10000000000) + (-100000)*D^1 + (1)*D^2")
+
+
+@pytest.mark.parametrize(
+    "op, degree",
+    [("(D^2+4*D+13)^40*(2*D-5)^20", 100), ("*".join(f"(D-{k})" for k in range(1, 61)), 60)],
+    ids=["pair^40-root^20", "roots-1-to-60"],
+)
+def test_large_expanded_operators_factor_fast(capsys, op, degree):
+    """'+0' sends the operator through factor_exact; its basis is the one
+    read off the factored form the parser keeps."""
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "kernel", "--op", op + "+0")
+    assert time.perf_counter() - t0 < 0.5, op
+    assert code == EXIT_OK
+    factored_code, factored_out, _ = run(capsys, "kernel", "--op", op)
+    assert factored_code == EXIT_OK
+    assert sorted(out.splitlines()) == sorted(factored_out.splitlines())
+    assert len(out.splitlines()) == degree
 
 
 def test_apply(capsys):

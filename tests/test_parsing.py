@@ -28,6 +28,7 @@ from diffop import (
 )
 from diffop.cli import EXIT_OK, EXIT_USAGE, main
 from diffop.parsing import (
+    MAX_BITS,
     MAX_COEFFICIENTS,
     MAX_DEGREE,
     MAX_DEPTH,
@@ -35,7 +36,8 @@ from diffop.parsing import (
     _OperatorParser,
     _RhsParser,
 )
-from genutil import rand_factored, rexpr
+import factorref
+from genutil import rand_factored, rand_fraction, rexpr
 from termref import TermSum
 
 F = Fraction
@@ -274,6 +276,60 @@ def test_factor_round_trips_on_random_operators():
         P = f.expand()
         g = factor_exact(P)
         assert g.expand() == P, f
+
+
+_TALL_PRIMES = [p for p in range(1000, 10000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+_IRREDUCIBLE = (D**2 - 2, D**2 + D + 1, D**3 - 2, D**4 + 1)
+
+
+def _sweep_operator(rng):
+    """A real operator from the families the divisor search covers in
+    reasonable time: zero, repeated, tall and rational roots, conjugate pairs
+    with denominators, two pairs sharing (e, v), reducible quadratics, odd
+    leading coefficients, constants, and one irreducible extra."""
+    P = OperatorPoly((rng.choice([1, -1, 2, -3, F(3, 4), F(-5, 2), F(7, 3)]),))
+    if rng.random() < 0.05:
+        return P
+    if rng.random() < 0.3:
+        P = P * D ** rng.randint(1, 3)
+    if rng.random() < 0.5:
+        P = P * (D - F(rng.choice([-1, 1]) * rng.choice(_TALL_PRIMES), rng.randint(1, 3)))
+    for _ in range(rng.randint(0, 3)):
+        P = P * (D - rand_fraction(rng, 3)) ** rng.randint(1, 3)
+    for _ in range(rng.randint(0, 2)):
+        alpha = F(rng.randint(-3, 3), rng.randint(1, 2))
+        beta = F(rng.randint(1, 3), rng.randint(1, 2))
+        P = P * ((D - alpha) ** 2 + beta * beta) ** rng.randint(1, 2)
+    if rng.random() < 0.15:
+        P = P * (D**2 + 2 * D + 5) * (D**2 - 2 * D + 5)
+    if rng.random() < 0.15:
+        P = P * (rng.randint(1, 3) * D - rng.randint(-3, 3)) * (D - rng.randint(-3, 3))
+    if rng.random() < 0.3:
+        P = P * rng.choice(_IRREDUCIBLE)
+    return P
+
+
+def _factor_outcome(factor, P):
+    try:
+        return factor(P)
+    except UnfactorableOverGaussianRationals as exc:
+        return str(exc)
+
+
+def test_factor_exact_matches_divisor_search_reference():
+    """The modular factorizer gives the divisor search's exact result: the
+    leading coefficient, the factors in order with their multiplicities, or
+    the same residual message."""
+    rng = random.Random(2718)
+    outcomes = []
+    for _ in range(400):
+        P = _sweep_operator(rng)
+        got = _factor_outcome(factor_exact, P)
+        assert got == _factor_outcome(factorref.factor_exact, P), P
+        outcomes.append(got)
+    unfactorable = sum(isinstance(o, str) for o in outcomes)
+    assert 60 < unfactorable < 200
+    assert sum(isinstance(o, FactoredOperator) and len(o.factors) >= 3 for o in outcomes) > 100
 
 
 # --- parser values against the term-merge reference --------------------------
@@ -608,6 +664,14 @@ _HOSTILE = (
     (parse_rhs, "x^600*x^401", "*", f"degree 1001 is over the limit of {MAX_DEGREE}"),
     (parse_rhs, "(x+1)^600(x-1)^401", "(", f"degree 1001 is over the limit of {MAX_DEGREE}"),
     (parse_rhs, "(exp(x)+sin(x)+cos(2x))^40*sin(x)", "^", f"over the limit of {MAX_COEFFICIENTS}"),
+    pytest.param(
+        parse_rhs, "(" + "7" * 400 + ")^1000*x", "^", f"over the limit of {MAX_BITS} bits",
+        id="400-digit^1000",
+    ),
+    pytest.param(
+        parse_rhs, "*".join(["9" * MAX_DIGITS] * 5), "*", f"over the limit of {MAX_BITS} bits",
+        id="five-4300-digit-factors",
+    ),
 )
 
 
@@ -626,6 +690,9 @@ def test_inputs_at_the_limits_parse():
     assert parse_rhs("x^500*x^500") == rexpr((1, MAX_DEGREE, 0, 0, None))
     assert len(parse_rhs("(exp(x)+1)^100").terms) == 101
     assert len(parse_rhs("(x+1)^300*sin(x)").terms) == 301
+    assert parse_operator("(D+1)^1000").poly.coeff(500).re == math.comb(1000, 500)
+    big = int("7" * MAX_DIGITS)
+    assert parse_rhs(f"({big})^2*x") == rexpr((big * big, 1, 0, 0, None))
 
 
 def test_oversized_inputs_exit_64_and_mark_only_their_batch_item(capsys, monkeypatch):
