@@ -18,13 +18,22 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .checks import check_particular
 from .expressions import InternalInvariantError, RealExpr
 from .operators import OperatorPoly, UnfactorableOverGaussianRationals
-from .parsing import ParsedOperator, ParseError, factor_exact, parse_operator, parse_rhs
+from .parsing import (
+    MAX_DEGREE,
+    MAX_DIGITS,
+    ParsedOperator,
+    ParseError,
+    factor_exact,
+    parse_operator,
+    parse_rhs,
+)
 from .render import (
     expr_to_json,
     render_factored,
@@ -67,13 +76,36 @@ def _print_parse_error(err: ParseError) -> None:
     print("  " + " " * (err.col - 1) + "^" * width, file=sys.stderr)
 
 
+# A --coeffs value: a literal of the operator grammar with an optional sign
+# and an optional integer denominator.
+_COEFFICIENT = re.compile(r"([+-]?)([0-9]+(?:\.[0-9]+)?)(?:/([0-9]+))?")
+
+
+def _coefficient(text: str) -> Fraction:
+    """One --coeffs value, each of its literals at most MAX_DIGITS digits."""
+    shown = repr(text if len(text) <= 40 else text[:40] + "...")
+
+    def bad(reason: str) -> _Failure:
+        return _Failure(EXIT_USAGE, f"bad --coeffs value {shown}: {reason}")
+
+    match = _COEFFICIENT.fullmatch(text.strip())
+    if match is None:
+        raise bad("expected a number such as 3, -0.25 or 1/2")
+    sign, number, denominator = match.groups()
+    if max(len(number) - ("." in number), len(denominator or "")) > MAX_DIGITS:
+        raise bad(f"longer than {MAX_DIGITS} digits")
+    if denominator is not None and not int(denominator):
+        raise bad("zero denominator")
+    return Fraction(sign + number) / int(denominator or 1)
+
+
 def _parse_operator_arg(args) -> ParsedOperator:
-    if getattr(args, "coeffs", None):
-        try:
-            coeffs = [Fraction(part.strip()) for part in args.coeffs.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _Failure(EXIT_USAGE, f"bad --coeffs value: {exc}")
-        return ParsedOperator(OperatorPoly(coeffs), None)
+    if getattr(args, "coeffs", None) is not None:
+        parts = args.coeffs.split(",")
+        if len(parts) > MAX_DEGREE + 1:
+            limit = f"over the limit of {MAX_DEGREE + 1}"
+            raise _Failure(EXIT_USAGE, f"--coeffs holds {len(parts)} values, {limit}")
+        return ParsedOperator(OperatorPoly([_coefficient(part) for part in parts]), None)
     return parse_operator(args.op)
 
 
@@ -188,6 +220,8 @@ def _cmd_batch(args) -> int:
     try:
         payload = json.load(sys.stdin)
         problems = payload["problems"]
+        if not isinstance(problems, list):
+            raise TypeError(f"problems is {type(problems).__name__}, not a list")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise _Failure(EXIT_USAGE, f"batch input must be JSON {{\"problems\": [...]}}: {exc}")
     results = []

@@ -15,8 +15,8 @@ multiplies e^(lam x) as Gaussian-integer coefficient vectors over one common
 denominator.  Sums, products, scaling and D are then integer vector work
 with one gcd per result vector (the fraction-free scheme of von zur Gathen
 and Gerhard, *Modern Computer Algebra*, ch. 5), and so are the parser, the
-solver's per-frequency steps and ``OperatorPoly.apply``, which all use the
-vector helpers defined here.
+solver's per-frequency steps and ``OperatorPoly``, whose coefficients are
+one such vector, which all use the vector helpers defined here.
 
 The fold back to real coefficients doubles as an internal consistency check:
 an expression produced from real data must be fixed by conjugation, so

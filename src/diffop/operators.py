@@ -25,24 +25,24 @@ Gaussian-integer vectors a ``ComplexExpr`` holds, and returns one.  It is
 the certificate's path and must not go through ``shift``, so the two stay
 independent.
 
-Both ``shift`` and ``apply`` scale the operator's coefficients to Gaussian
-integers over a common denominator first (the fraction-free scheme of von
-zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5, with the vector
-helpers of ``expressions``): the inner loops then run on plain ints, and
-each result is reduced by one gcd at the end.
-
-Coefficients are stored as GaussianRational throughout, even for operators
-built from real input: shifting by a complex frequency must not change the
-representation.  The zero operator is the empty coefficient tuple.
+An operator is held as one reduced Gaussian-integer vector (d, re, im),
+the form of one frequency of a ``ComplexExpr`` (the fraction-free scheme of
+von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).  Its ring
+operations, ``shift`` and ``apply`` run on plain ints with the vector
+helpers of ``expressions``, and each result is reduced by one gcd.  A real
+operator has zero imaginary parts, so shifting by a complex frequency keeps
+the representation; the zero operator is (1, [], []).  ``coeffs`` and
+``coeff`` build ``GaussianRational`` values only for the API, the trace
+and rendering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .expressions import ComplexExpr, _integer_parts, _reduced
+from .expressions import ComplexExpr, _integer_parts, _key, _product, _reduced, _scalar, _summed
 from .rationals import GaussianRational, gauss, power, rat_sqrt, scalar_from_json, scalar_to_json
 
 
@@ -57,34 +57,41 @@ def _to_gauss(value) -> GaussianRational:
 
 
 class OperatorPoly:
-    """Dense operator polynomial, coefficients low to high, top one nonzero."""
+    """Dense operator polynomial: coefficient j is (re[j] + im[j] i)/d for its
+    reduced vector (d, re, im), low to high, the top one nonzero."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_v",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_to_gauss(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        self._v = _reduced(*_integer_parts([_to_gauss(c) for c in coeffs])) or _ZERO
+
+    @staticmethod
+    def _of(v: Optional[tuple]) -> "OperatorPoly":
+        """The operator with this reduced vector, taken as it is; None is zero."""
+        op = object.__new__(OperatorPoly)
+        op._v = v or _ZERO
+        return op
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        d, re, im = self._v
+        return tuple(_scalar((d, x, y)) for x, y in zip(re, im))
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero operator."""
-        return len(self._coeffs) - 1
+        return len(self._v[1]) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._v[1]
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self._coeffs)
+        return not any(self._v[2])
 
     def coeff(self, j: int) -> GaussianRational:
-        if 0 <= j < len(self._coeffs):
-            return self._coeffs[j]
+        d, re, im = self._v
+        if 0 <= j < len(re):
+            return _scalar((d, re[j], im[j]))
         return gauss(0)
 
     # -- polynomial ring ----------------------------------------------------
@@ -94,15 +101,14 @@ class OperatorPoly:
         if isinstance(other, OperatorPoly):
             return other
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return OperatorPoly((_to_gauss(other),))
+            return OperatorPoly((other,))
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return OperatorPoly(self.coeff(j) + other.coeff(j) for j in range(n))
+        return OperatorPoly._of(_reduced(*_summed(self._v, other._v)))
 
     __radd__ = __add__
 
@@ -119,19 +125,16 @@ class OperatorPoly:
         return other - self
 
     def __neg__(self):
-        return OperatorPoly(-c for c in self._coeffs)
+        d, re, im = self._v
+        return OperatorPoly._of((d, [-x for x in re], [-y for y in im]))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return OperatorPoly()
-        out = [gauss(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return OperatorPoly(out)
+            return OperatorPoly._of(None)
+        return OperatorPoly._of(_reduced(*_product(self._v, other._v)))
 
     __rmul__ = __mul__
 
@@ -141,20 +144,20 @@ class OperatorPoly:
         return power(self, exponent, IDENTITY_OP)
 
     def scale(self, c) -> "OperatorPoly":
-        c = _to_gauss(c)
-        return OperatorPoly(a * c for a in self._coeffs)
+        return self * OperatorPoly((c,))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._v == other._v
 
     def __hash__(self):
-        return hash(self._coeffs)
+        d, re, im = self._v
+        return hash((d, *re, *im))
 
     def __repr__(self):
-        return f"OperatorPoly({[c.pretty() for c in self._coeffs]})"
+        return f"OperatorPoly({[c.pretty() for c in self.coeffs]})"
 
     # -- the operator calculus ------------------------------------------
 
@@ -162,44 +165,36 @@ class OperatorPoly:
         """P(lam) by Horner's scheme; equals the eigenvalue on e^(lam x)."""
         lam = _to_gauss(lam)
         acc = gauss(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * lam + c
         return acc
 
     def shift(self, lam: GaussianRational) -> "OperatorPoly":
         """The translated polynomial P(D + lam), exactly.
 
-        Everything is scaled to Gaussian integers first so the Horner
-        passes run on plain ints (no gcd per step), then normalized once:
-        with lam = (p + qi)/s and coefficients n_j/d, the integer poly
-        R(E) = sum n_j s^(top-j) E^j in E = sD is Taylor-shifted by p + qi,
-        and P(D + lam) reads off as b_j / (d s^(top-j)).
+        With lam = (p + qi)/s and coefficients n_j/d, the integer poly
+        R(E) = sum n_j s^(top-j) E^j in E = sD is Taylor-shifted by p + qi
+        with Horner passes on plain ints (no gcd per step), and P(D + lam)
+        reads off as b_j / (d s^(top-j)) = b_j s^j / (d s^top), reduced once.
         """
-        lam = _to_gauss(lam)
-        n = len(self._coeffs)
-        if n == 0 or lam.is_zero():
+        s, p, q = _key(_to_gauss(lam))
+        d, re, im = self._v
+        n = len(re)
+        if n == 0 or not (p or q):
             return self
-        s, (p,), (q,) = _integer_parts((lam,))
-        d, cre, cim = _integer_parts(self._coeffs)
         top = n - 1
         spow = [1] * n
         for i in range(1, n):
             spow[i] = spow[i - 1] * s
-        wre = [c * spow[top - j] for j, c in enumerate(cre)]
-        wim = [c * spow[top - j] for j, c in enumerate(cim)]
+        wre = [c * spow[top - j] for j, c in enumerate(re)]
+        wim = [c * spow[top - j] for j, c in enumerate(im)]
         for i in range(n):
             for j in range(n - 2, i - 1, -1):
                 a, b = wre[j + 1], wim[j + 1]
                 wre[j] += p * a - q * b
                 wim[j] += p * b + q * a
-        out = [
-            GaussianRational(
-                Fraction(wre[j], d * spow[top - j]),
-                Fraction(wim[j], d * spow[top - j]),
-            )
-            for j in range(n)
-        ]
-        return OperatorPoly(out)
+        out = [x * t for x, t in zip(wre, spow)], [y * t for y, t in zip(wim, spow)]
+        return OperatorPoly._of(_reduced(d * spow[top], *out))
 
     def apply(self, f: ComplexExpr) -> ComplexExpr:
         """P(D) f, by Horner's rule run separately on each frequency of f.
@@ -214,10 +209,10 @@ class OperatorPoly:
         on the Gaussian-integer vectors of ``f.freqs``, and r_0 = R_0 / (da du s^n)
         is reduced once per frequency.  No step goes through ``shift``.
         """
-        n = len(self._coeffs) - 1
+        da, are, aim = self._v
+        n = len(are) - 1
         if n < 0:
             return ComplexExpr._of({})
-        da, are, aim = _integer_parts(self._coeffs)
         freqs = {}
         for lam, (du, ure, uim) in f.freqs.items():
             s, p, q = lam
@@ -247,9 +242,9 @@ class OperatorPoly:
 
     def formal_derivative(self) -> "OperatorPoly":
         """dP/dD by the power rule (a polynomial in D, not an action on f)."""
-        return OperatorPoly(
-            self._coeffs[j] * j for j in range(1, len(self._coeffs))
-        )
+        d, re, im = self._v
+        js = range(1, len(re))
+        return OperatorPoly._of(_reduced(d, [j * re[j] for j in js], [j * im[j] for j in js]))
 
     def multiplicity_at(self, lam: GaussianRational) -> int:
         """Largest k with (D - lam)^k dividing P.
@@ -263,17 +258,19 @@ class OperatorPoly:
         """Largest k with D^k dividing P: the index of the lowest nonzero coefficient."""
         if self.is_zero():
             raise ValueError("multiplicity is undefined for the zero operator")
-        return next(k for k, c in enumerate(self._coeffs) if not c.is_zero())
+        return next(k for k, (x, y) in enumerate(zip(*self._v[1:])) if x or y)
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> list:
-        return [scalar_to_json(c) for c in self._coeffs]
+        return [scalar_to_json(c) for c in self.coeffs]
 
     @staticmethod
     def from_json(obj: list) -> "OperatorPoly":
         return OperatorPoly(scalar_from_json(c) for c in obj)
 
+
+_ZERO = (1, [], [])  # the vector of the zero operator
 
 D = OperatorPoly((0, 1))
 IDENTITY_OP = OperatorPoly((1,))
@@ -347,13 +344,13 @@ class FactoredOperator:
         leading = Fraction(leading)
         factors = []
         for base, mult in bases:
-            if base.is_zero():
+            d, re, im = base._v
+            if not re:
                 raise ValueError("zero polynomial cannot be a factor")
-            if not base.is_real():
+            if any(im):
                 raise ValueError("factor bases must have real coefficients")
-            lead = base.coeffs[-1].re
-            leading *= lead**mult
-            monic = [c.re / lead for c in base.coeffs]
+            leading *= Fraction(re[-1], d) ** mult
+            monic = [Fraction(x, re[-1]) for x in re]
             if base.degree == 0:
                 continue
             if base.degree == 1:

@@ -20,7 +20,7 @@ points at a span of the source text.
 Both grammars compute on ``ComplexExpr`` values, whose Gaussian-integer
 vectors make sums and products plain integer work.  An operator is the
 frequency 0 alone, its vector indexed by the power of D; ``OperatorPoly``
-is built once, from the finished value.
+wraps that vector of the finished value as it is.
 
 ``factor_exact`` splits a real-rational operator into rational linear
 factors and irreducible quadratics (D-a)^2 + b^2 with rational a and b,
@@ -340,14 +340,6 @@ def _bits(value: ComplexExpr) -> int:
     return top.bit_length()
 
 
-def _operator(value: ComplexExpr) -> OperatorPoly:
-    """The operator whose coefficients are the frequency-0 vector, indexed by the power of D."""
-    if not value.freqs:
-        return OperatorPoly()
-    d, re, _ = value.freqs[ORIGIN]
-    return OperatorPoly(Fraction(x, d) for x in re)
-
-
 # -- right-hand sides -------------------------------------------------------
 
 
@@ -518,12 +510,12 @@ def parse_operator(src: str) -> ParsedOperator:
     expansion is returned.
     """
     value = _OperatorParser(src).parse()
-    poly = _operator(value.poly)
+    poly = OperatorPoly._of(value.poly.freqs.get(ORIGIN))
     factored = None
     if value.parts is not None and not poly.is_zero():
         try:
             factored = FactoredOperator.from_bases(
-                value.scalar, [(_operator(base), m) for base, m in value.parts]
+                value.scalar, [(OperatorPoly._of(base.freqs[ORIGIN]), m) for base, m in value.parts]
             )
         except UnfactorableOverGaussianRationals:
             factored = None
@@ -719,10 +711,9 @@ def factor_exact(P: OperatorPoly) -> FactoredOperator:
         raise ValueError("cannot factor the zero operator")
     if not P.is_real():
         raise ValueError("factorization expects real coefficients")
-    coeffs = [c.re for c in P.coeffs]
-    leading = coeffs[-1]
-    denominator = math.lcm(*(c.denominator for c in coeffs))
-    f = _primitive([int(c * denominator) for c in coeffs])
+    denominator, coeffs, _ = P._v
+    leading = Fraction(coeffs[-1], denominator)
+    f = _primitive(coeffs)
     k = next(j for j, c in enumerate(f) if c)
     bases = [(D, k)] if k else []
     f = f[k:]
@@ -730,7 +721,7 @@ def factor_exact(P: OperatorPoly) -> FactoredOperator:
         mult = 0
         while (quotient := _exact_quotient(f, d)) is not None:
             f, mult = quotient, mult + 1
-        bases.append((OperatorPoly(Fraction(c, d[-1]) for c in d), mult))
+        bases.append((OperatorPoly._of((d[-1], d, [0] * len(d))), mult))
     if len(f) > 1:
         residual = " + ".join(
             f"({Fraction(c, f[-1])})*D^{j}" if j else f"({Fraction(c, f[-1])})"

@@ -9,16 +9,15 @@ each frequency lam the exponential shift rule turns
 so only polynomial right-hand sides remain.  Write P(D + lam) = D^k R(D)
 with R(0) != 0; k is the resonance order, the multiplicity of lam as a root
 of P.  On polynomials of degree <= m the inverse of R is the truncated
-series S(D) = s_0 + s_1 D + ... + s_m D^m fixed by the convolution equations
-
-    s_0 = 1/r_0,    s_j = -(r_1 s_{j-1} + ... + r_j s_0)/r_0,
-
-because every D^j with j > m annihilates the polynomial.  The leftover D^k
-is undone by antidifferentiating k times with all integration constants
-zero, which pins one canonical particular solution.  Summing the per
-frequency pieces and folding conjugate pairs back to cos/sin gives a real
-answer whenever the problem was real; the fold itself re-checks conjugation
-symmetry, so a symmetry bug cannot slip through silently.
+series S(D) = s_0 + s_1 D + ... + s_m D^m with R S = 1 mod D^(m+1), because
+every D^j with j > m annihilates the polynomial.  Newton iteration finds it
+from s_0 = 1/r_0 on Gaussian-integer vectors, each step S <- S (2 - R S)
+doubling the number of exact coefficients.  The leftover D^k is undone by
+antidifferentiating k times with all integration constants zero, which pins
+one canonical particular solution.  Summing the per frequency pieces and
+folding conjugate pairs back to cos/sin gives a real answer whenever the
+problem was real; the fold itself re-checks conjugation symmetry, so a
+symmetry bug cannot slip through silently.
 
 Two independent closed forms are implemented alongside the pipeline as
 cross-checks: ``exponential_input`` (the A x^k e^(a x) / P^(k)(a) formula)
@@ -34,33 +33,45 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .expressions import ORIGIN, ComplexExpr, RealExpr, RealTerm, _ordered, _reduced, _scalar
+from .expressions import (
+    ORIGIN, ComplexExpr, RealExpr, RealTerm, _ordered, _product, _reduced, _scalar, _summed
+)
 from .operators import FactoredOperator, OperatorPoly
-from .rationals import GaussianRational, gauss
+from .rationals import GaussianRational
 
 
 @dataclass(frozen=True)
 class InverseSeries:
     """Truncated inverse 1/R(D) valid on polynomials of degree <= order."""
 
-    coefficients: tuple
+    operator: OperatorPoly
     source: OperatorPoly
     order: int
 
+    @property
+    def coefficients(self) -> tuple:  # s_0..s_order, trailing zeros included
+        return tuple(self.operator.coeff(j) for j in range(self.order + 1))
+
 
 def series_invert(R: OperatorPoly, m: int) -> InverseSeries:
-    """Coefficients s_0..s_m of the truncated inverse of R, R(0) != 0."""
-    r0 = R.coeff(0)
-    if r0.is_zero():
+    """The inverse S of R mod D^(m+1), R(0) != 0, by Newton iteration (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, ch. 9): when R S = 1 mod D^k,
+    S + S (1 - R S) is right mod D^2k, and 1 - R S has only entries k..2k-1.
+    Each step is one gcd reduction of Gaussian-integer vectors."""
+    d, rre, rim = R._v
+    if not (rre and (rre[0] or rim[0])):
         raise ValueError("series inversion needs a nonzero constant coefficient")
-    inv_r0 = r0.inverse()
-    s = [inv_r0]
-    for j in range(1, m + 1):
-        acc = gauss(0)
-        for i in range(1, min(j, R.degree) + 1):
-            acc = acc + R.coeff(i) * s[j - i]
-        s.append(-acc * inv_r0)
-    return InverseSeries(tuple(s), R, m)
+    a, b = rre[0], rim[0]
+    S = _reduced(a * a + b * b, [d * a], [-d * b])  # 1/r_0 = d (a - bi) / (a^2 + b^2)
+    k = 1
+    while k <= m:
+        n = min(2 * k, m + 1)
+        dt, tre, tim = _product((d, rre[:n], rim[:n]), S)
+        error = (dt, [-x for x in tre[k:n]], [-y for y in tim[k:n]])
+        de, ere, eim = _product((S[0], S[1][: n - k], S[2][: n - k]), error)
+        S = _reduced(*_summed(S, (de, [0] * k + ere[: n - k], [0] * k + eim[: n - k])))
+        k = n
+    return InverseSeries(OperatorPoly._of(S), R, m)
 
 
 def antidifferentiate(p: ComplexExpr, k: int) -> ComplexExpr:
@@ -120,9 +131,9 @@ def solve_particular(P: OperatorPoly, g: RealExpr) -> Tuple[RealExpr, SolveTrace
         poly = ComplexExpr._of({ORIGIN: gc.freqs[key]})
         shifted = P.shift(lam)
         k = shifted.valuation()
-        stripped = OperatorPoly(shifted.coeffs[k:])
-        series = series_invert(stripped, len(gc.freqs[key][1]) - 1)
-        applied = OperatorPoly(series.coefficients).apply(poly)
+        d, re, im = shifted._v
+        series = series_invert(OperatorPoly._of((d, re[k:], im[k:])), len(gc.freqs[key][1]) - 1)
+        applied = series.operator.apply(poly)
         integrated = antidifferentiate(applied, k) if k else applied
         total[key] = integrated.freqs[ORIGIN]
         contribution = ComplexExpr._of({key: total[key]})

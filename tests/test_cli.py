@@ -92,6 +92,53 @@ def test_solve_explain_shows_the_steps(capsys):
     assert out.strip().endswith("answer: x^3 - 5/2*x^2 + 39/2*x - 169/4")
 
 
+def test_coefficient_list_with_fractions_and_decimals(capsys):
+    listed = run(capsys, "solve", "--coeffs", "1/2,-0.25,3", "--rhs", "x^2+exp(x)")
+    written = run(capsys, "solve", "--op", "3*D^2-0.25*D+0.5", "--rhs", "x^2+exp(x)")
+    assert listed == written and listed[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "coeffs, shown",
+    [
+        ("1e5000,1", "'1e5000'"),
+        ("1e2,1", "'1e2'"),
+        ("1,.5", "'.5'"),
+        ("1_000,1", "'1_000'"),
+        ("1/0,1", "'1/0'"),
+        ("1,,2", "''"),
+        ("", "''"),
+        ("7" * 4301 + ",1", "'" + "7" * 40 + "...'"),
+        ("1/" + "3" * 4301, "'1/" + "3" * 38 + "...'"),
+    ],
+    ids=[
+        "exponent",
+        "small-exponent",
+        "bare-point",
+        "underscore",
+        "zero-denominator",
+        "empty-value",
+        "empty-list",
+        "long-numerator",
+        "long-denominator",
+    ],
+)
+def test_coefficient_list_values_are_bounded_literals(capsys, coeffs, shown):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--coeffs", coeffs, "--rhs", "x^50")
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_USAGE and out == ""
+    assert f"bad --coeffs value {shown}" in err
+
+
+def test_coefficient_list_length_is_bounded(capsys):
+    code, out, _ = run(capsys, "solve", "--coeffs", ",".join(["1"] * 1001), "--rhs", "2")
+    assert code == EXIT_OK and out.strip() == "2"
+    code, _, err = run(capsys, "solve", "--coeffs", ",".join(["1"] * 1002), "--rhs", "2")
+    assert code == EXIT_USAGE
+    assert "--coeffs holds 1002 values, over the limit of 1001" in err
+
+
 def test_zero_operator_is_a_usage_error(capsys):
     code, _, err = run(capsys, "solve", "--coeffs", "0", "--rhs", "x")
     assert code == EXIT_USAGE
@@ -279,6 +326,17 @@ def test_batch_marks_internal_failures(capsys, monkeypatch):
 def test_batch_rejects_malformed_payload(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[1, 2]"))
     assert main(["batch"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "problems", [5, None, "D", {"op": "D", "rhs": "x"}], ids=["int", "null", "str", "object"]
+)
+def test_batch_requires_a_list_of_problems(capsys, monkeypatch, problems):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"problems": problems})))
+    assert main(["batch"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not a list" in err
 
 
 def test_no_arguments_is_a_usage_error(capsys):

@@ -17,6 +17,7 @@ from diffop import (
     gauss,
 )
 from genutil import cexpr, rand_complex_expr, rand_fraction, rand_gauss, rand_operator
+from opref import OpRef
 from termref import TermSum
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=5)
@@ -72,6 +73,75 @@ def test_ring_laws(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+def _rand_coeffs(rng: random.Random, degree: int) -> list:
+    """degree + 1 coefficients, some zero, some real, Gaussian ones with
+    denominators; the top one may be zero too, so the degree can drop."""
+    return [
+        rng.choice((gauss(0), gauss(rand_fraction(rng, 9)), rand_gauss(rng, 9), rand_gauss(rng, 9)))
+        for _ in range(degree + 1)
+    ]
+
+
+def _assert_same(p: OperatorPoly, r: OpRef):
+    assert p.coeffs == r.coeffs, (p, r)
+    assert p.degree == r.degree
+    assert p.is_zero() == r.is_zero()
+    assert p.is_real() == r.is_real()
+    assert [p.coeff(j) for j in range(-1, p.degree + 3)] == [
+        r.coeff(j) for j in range(-1, r.degree + 3)
+    ]
+    twin = OperatorPoly(r.coeffs)
+    assert p == twin and hash(p) == hash(twin)
+
+
+def test_algebra_matches_gaussian_rational_reference():
+    """Every ring and calculus operation equals the reference's, coefficient
+    by coefficient, on Gaussian operators of degree -1 (zero) to 15."""
+    rng = random.Random(41)
+    for case in range(400):
+        a = _rand_coeffs(rng, rng.choice((-1, 0, rng.randint(0, 15))))
+        b = _rand_coeffs(rng, rng.choice((-1, 0, rng.randint(0, 15))))
+        if case % 3 == 0:
+            # b is a or -a from the middle up, so a sum or difference cancels from the top
+            half, sign = len(a) // 2, rng.choice((1, -1))
+            b = _rand_coeffs(rng, half - 1) + [sign * c for c in a[half:]]
+        p, r, q, t = OperatorPoly(a), OpRef(a), OperatorPoly(b), OpRef(b)
+        _assert_same(p, r)
+        _assert_same(p + q, r + t)
+        _assert_same(p - q, r - t)
+        _assert_same(-p, -r)
+        _assert_same(p * q, r * t)
+        e = rng.randint(0, 3)
+        _assert_same(p**e, r**e)
+        c = rng.choice((gauss(0), gauss(rand_fraction(rng, 7)), rand_gauss(rng, 7)))
+        _assert_same(p.scale(c), r.scale(c))
+        _assert_same(p + c, r + c)
+        _assert_same(p * c, r * c)
+        lam = rng.choice((gauss(0), gauss(rand_fraction(rng, 6)), rand_gauss(rng, 6)))
+        _assert_same(p.shift(lam), r.shift(lam))
+        _assert_same(p.formal_derivative(), r.formal_derivative())
+        assert p.evaluate(lam) == r.evaluate(lam)
+        assert (p == q) == (r == t)
+        if not r.is_zero():
+            assert p.valuation() == r.valuation()
+            assert p.multiplicity_at(lam) == r.multiplicity_at(lam)
+
+
+def test_shift_matches_reference_at_planted_roots():
+    # roots with denominators are shifted to the origin: the low coefficients cancel exactly
+    rng = random.Random(43)
+    for _ in range(60):
+        lam = rand_gauss(rng, 7, nonzero=True)
+        a = _rand_coeffs(rng, rng.randint(0, 8))
+        k = rng.randint(1, 4)
+        p = OperatorPoly(a) * (D - lam) ** k
+        r = OpRef(a) * (OpRef((-lam, 1)) ** k)
+        _assert_same(p, r)
+        _assert_same(p.shift(lam), r.shift(lam))
+        if not r.is_zero():
+            assert p.shift(lam).valuation() == r.shift(lam).valuation() >= k
 
 
 # --- evaluation -------------------------------------------------------------

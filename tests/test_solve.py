@@ -20,11 +20,13 @@ from diffop.solve import antidifferentiate
 from genutil import (
     cexpr,
     rand_fraction,
+    rand_gauss,
     rand_real_rhs,
     rand_rooted_operator,
     rexpr,
     trig_route_real,
 )
+from opref import OpRef, series_ref
 
 F = Fraction
 
@@ -75,6 +77,33 @@ def test_series_convolution_invariant():
         assert product.coeff(0) == gauss(1)
         for j in range(1, m + 1):
             assert product.coeff(j) == gauss(0), (R, m, j)
+
+
+def test_series_matches_recurrence_reference():
+    # Gaussian coefficients with denominators, some zero, degrees 0-15, orders 0-40
+    rng = random.Random(47)
+    for case in range(240):
+        degree = rng.randint(0, 15)
+        coeffs = [
+            rng.choice((gauss(0), gauss(rand_fraction(rng, 9)), rand_gauss(rng, 9)))
+            for _ in range(degree + 1)
+        ]
+        coeffs[0] = rng.choice(
+            (gauss(rand_fraction(rng, 9, nonzero=True)), rand_gauss(rng, 9, nonzero=True))
+        )
+        m = case % 41
+        s = series_invert(OperatorPoly(coeffs), m)
+        assert s.coefficients == series_ref(OpRef(coeffs), m), (coeffs, m)
+        assert s.order == m and s.source == OperatorPoly(coeffs)
+
+
+def test_series_with_tall_constant_term_matches_reference():
+    # r_0 = (2i)^k, (3 - 2i/3)^k, 2^k: the stripped shifts of (D^2 + 1)^k and kin
+    for base in (D + gauss(0, 2), 2 * D + gauss(3, F(-2, 3)), D + 2):
+        for k in list(range(1, 60, 7)) + [60]:
+            R = base**k
+            s = series_invert(R, 2 * k)
+            assert s.coefficients == series_ref(OpRef(R.coeffs), 2 * k), (base, k)
 
 
 # --- antidifferentiation ----------------------------------------------------
