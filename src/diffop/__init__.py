@@ -56,11 +56,9 @@ from .solve import (
     KernelBasis,
     SolveTrace,
     antidifferentiate,
-    exponential_input,
     kernel_basis,
     series_invert,
     solve_particular,
-    resonant_trig_solution,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +91,6 @@ __all__ = [
     "check_kernel",
     "check_particular",
     "expr_to_json",
-    "exponential_input",
     "factor_exact",
     "gauss",
     "kernel_basis",
@@ -106,7 +103,6 @@ __all__ = [
     "render_text",
     "series_invert",
     "solve_particular",
-    "resonant_trig_solution",
     "trace_to_json",
     "trace_to_text",
 ]

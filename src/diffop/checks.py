@@ -37,10 +37,10 @@ EXACT = Verdict("exact")
 def check_particular(P: OperatorPoly, g: RealExpr, Y: RealExpr) -> Verdict:
     """Exact symbolic residual P(D)Y - g; empty means Y solves the equation.
 
-    The image P(D)Y is folded back to real form, which raises
-    ConjugateSymmetryError unless it is conjugation-symmetric, and compared
-    with g there: both are canonical, so equality is structural and g is
-    never expanded into exponentials.
+    The image P(D)Y becomes real only after ``to_real`` checks it is
+    conjugation-symmetric (ConjugateSymmetryError otherwise), and is compared
+    with g as values: both are canonical vectors, so equality is structural
+    and no real term is built.
     """
     image = P.apply(Y.to_complex()).to_real()
     if image == g:

@@ -6,9 +6,10 @@ Everything the engine touches is a finite sum of terms
 
 held in ``ComplexExpr``.  Real inputs with sines and cosines are folded into
 this form through Euler's formula, which turns trig bookkeeping into plain
-field arithmetic in the exponent.  ``RealExpr`` is the presentation form on
-the way back out: terms c * x^k * e^(a*x) * {1, cos(b*x), sin(b*x)} with
-rational c, a, b and b > 0.
+field arithmetic in the exponent.  A real value is the conjugation-symmetric
+``ComplexExpr`` it equals, held by ``RealExpr`` with its presentation fold
+into terms c * x^k * e^(a*x) * {1, cos(b*x), sin(b*x)} (rational c, a, b and
+b > 0), which is computed once, when first read.
 
 A ``ComplexExpr`` is dense by frequency: each lam holds the polynomial that
 multiplies e^(lam x) as Gaussian-integer coefficient vectors over one common
@@ -18,10 +19,10 @@ and Gerhard, *Modern Computer Algebra*, ch. 5), and so are the parser, the
 solver's per-frequency steps and ``OperatorPoly``, whose coefficients are
 one such vector, which all use the vector helpers defined here.
 
-The fold back to real coefficients doubles as an internal consistency check:
-an expression produced from real data must be fixed by conjugation, so
-``to_real`` verifies the coefficient of e^((a-bi)x) is the conjugate of the
-coefficient of e^((a+bi)x) and raises ``ConjugateSymmetryError`` otherwise.
+Becoming real doubles as an internal consistency check: an expression
+produced from real data must be fixed by conjugation, so ``to_real``
+verifies the coefficient of e^((a-bi)x) is the conjugate of the coefficient
+of e^((a+bi)x) and raises ``ConjugateSymmetryError`` otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .rationals import Fraction as _F
 from .rationals import ZERO, GaussianRational
 
 _F0 = Fraction(0)
@@ -294,16 +294,14 @@ class ComplexExpr:
     # -- realification ----------------------------------------------------
 
     def to_real(self) -> "RealExpr":
-        """Fold conjugate frequency pairs into cos/sin terms.
+        """This value as a RealExpr, once it is checked to be real.
 
         Requires the expression to be conjugation-symmetric; raises
         ConjugateSymmetryError when a real frequency has a coefficient with
         an imaginary part, or a frequency with im != 0 lacks its mirror.
         """
-        out = []
         for key in _ordered(self.freqs):
             (s, p, q), (d, re, im) = key, self.freqs[key]
-            alpha = Fraction(p, s)
             if not q and any(im):
                 raise ConjugateSymmetryError(
                     f"a coefficient of e^({_scalar(key).pretty()}x) is not real"
@@ -312,17 +310,7 @@ class ComplexExpr:
                 raise ConjugateSymmetryError(
                     f"terms of e^(({_scalar(key).pretty()})x) have no conjugate partners"
                 )
-            if not q:
-                out += [RealTerm(Fraction(x, d), k, alpha, _F0, None) for k, x in enumerate(re) if x]
-            elif q > 0:
-                # c e^(i b x) + conj(c) e^(-i b x) = 2 Re(c) cos(bx) - 2 Im(c) sin(bx)
-                beta = Fraction(q, s)
-                for k, (x, y) in enumerate(zip(re, im)):
-                    if x:
-                        out.append(RealTerm(Fraction(2 * x, d), k, alpha, beta, "cos"))
-                    if y:
-                        out.append(RealTerm(Fraction(-2 * y, d), k, alpha, beta, "sin"))
-        return RealExpr(out)
+        return RealExpr._of(self)
 
 
 @dataclass(frozen=True)
@@ -340,9 +328,9 @@ class RealTerm:
     trig: Optional[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", _F(self.coeff))
-        object.__setattr__(self, "alpha", _F(self.alpha))
-        object.__setattr__(self, "beta", _F(self.beta))
+        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "beta", Fraction(self.beta))
         if (self.trig is None) != (self.beta == 0):
             raise ValueError("trig factor present iff beta is nonzero")
         if self.beta < 0:
@@ -364,65 +352,73 @@ class RealTerm:
 
 
 class RealExpr:
-    """Immutable sum of real terms in canonical order."""
+    """A real value, held as the conjugation-symmetric ComplexExpr it equals.
 
-    __slots__ = ("_terms",)
+    ``==``, ``hash``, ``-`` and ``to_complex`` use that value; ``terms`` is
+    its fold into RealTerms, made on first read.  The constructor
+    Euler-expands RealTerms, which may repeat or cancel.
+    """
+
+    __slots__ = ("_value", "_terms")
 
     def __init__(self, terms: Iterable[RealTerm] = ()):
-        merged: dict = {}
+        # c cos(bx) = (c/2) e^(ibx) + conj, c sin(bx) = (-ic/2) e^(ibx) + conj
+        raw = GaussianRational._raw
+        out = []
         for t in terms:
-            key = (t.alpha, t.beta, t.k, t.trig)
-            merged[key] = merged.get(key, Fraction(0)) + t.coeff
-        kept = [
-            RealTerm(c, k, alpha, beta, trig)
-            for (alpha, beta, k, trig), c in merged.items()
-            if c
-        ]
-        kept.sort(key=RealTerm.sort_key)
-        object.__setattr__(self, "_terms", tuple(kept))
+            s, p, q = up = _key(raw(t.alpha, t.beta))
+            if t.trig is None:
+                out.append((raw(t.coeff, _F0), t.k, up))
+                continue
+            half = raw(t.coeff / 2, _F0) if t.trig == "cos" else raw(_F0, -t.coeff / 2)
+            out += [(half, t.k, up), (half.conjugate(), t.k, (s, p, -q))]
+        self._value, self._terms = ComplexExpr._of(_collected(out)), None
+
+    @staticmethod
+    def _of(value: ComplexExpr) -> "RealExpr":
+        """The real expression equal to value, which must be conjugation-symmetric."""
+        expr = object.__new__(RealExpr)
+        expr._value, expr._terms = value, None
+        return expr
 
     @property
     def terms(self) -> tuple:
+        """The fold c e^(ibx) + conj(c) e^(-ibx) = 2 Re(c) cos(bx) - 2 Im(c) sin(bx)."""
+        if self._terms is None:
+            out = []
+            for (s, p, q), (d, re, im) in self._value.freqs.items():
+                if q < 0:
+                    continue
+                alpha, beta = Fraction(p, s), Fraction(q, s)
+                trig, twice = ("cos", 2) if q else (None, 1)  # a real frequency has im == 0
+                for k, (x, y) in enumerate(zip(re, im)):
+                    if x:
+                        out.append(RealTerm(Fraction(twice * x, d), k, alpha, beta, trig))
+                    if y:
+                        out.append(RealTerm(Fraction(-2 * y, d), k, alpha, beta, "sin"))
+            out.sort(key=RealTerm.sort_key)
+            self._terms = tuple(out)
         return self._terms
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._value.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, RealExpr):
             return NotImplemented
-        return self._terms == other._terms
+        return self._value == other._value
 
     def __hash__(self):
-        return hash(self._terms)
+        return hash(self._value)
 
     def __repr__(self):
-        return f"RealExpr({len(self._terms)} terms)"
+        return f"RealExpr({len(self.terms)} terms)"
 
     def evaluate(self, x: float) -> float:
-        return sum(t.evaluate(x) for t in self._terms)
+        return sum(t.evaluate(x) for t in self.terms)
 
     def __sub__(self, other: "RealExpr") -> "RealExpr":
-        return RealExpr(
-            self._terms
-            + tuple(RealTerm(-t.coeff, t.k, t.alpha, t.beta, t.trig) for t in other._terms)
-        )
+        return RealExpr._of(self._value - other._value)
 
     def to_complex(self) -> ComplexExpr:
-        """Euler expansion: cos and sin become half-sums of e^(+-i beta x).
-
-        c cos(bx) = (c/2) e^(ibx) + (c/2) e^(-ibx) and
-        c sin(bx) = (-ic/2) e^(ibx) + (ic/2) e^(-ibx).
-        """
-        raw = GaussianRational._raw
-        out = []
-        for t in self._terms:
-            s, p, q = up = _key(raw(t.alpha, t.beta))
-            half = t.coeff / 2
-            if t.trig is None:
-                out.append((raw(t.coeff, _F0), t.k, up))
-            elif t.trig == "cos":
-                out += [(raw(half, _F0), t.k, up), (raw(half, _F0), t.k, (s, p, -q))]
-            else:
-                out += [(raw(_F0, -half), t.k, up), (raw(_F0, half), t.k, (s, p, -q))]
-        return ComplexExpr._of(_collected(out))
+        return self._value

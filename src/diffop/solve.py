@@ -14,27 +14,20 @@ every D^j with j > m annihilates the polynomial.  Newton iteration finds it
 from s_0 = 1/r_0 on Gaussian-integer vectors, each step S <- S (2 - R S)
 doubling the number of exact coefficients.  The leftover D^k is undone by
 antidifferentiating k times with all integration constants zero, which pins
-one canonical particular solution.  Summing the per frequency pieces and
-folding conjugate pairs back to cos/sin gives a real answer whenever the
-problem was real; the fold itself re-checks conjugation symmetry, so a
-symmetry bug cannot slip through silently.
-
-Two independent closed forms are implemented alongside the pipeline as
-cross-checks: ``exponential_input`` (the A x^k e^(a x) / P^(k)(a) formula)
-and ``resonant_trig_solution`` (resonant cos/sin under powers of D^2 + b^2).
-They are deliberately not used by ``solve_particular``; agreeing with it up
-to a kernel element is evidence, not circularity.
+one canonical particular solution.  Summing the per frequency pieces gives
+a real answer whenever the problem was real.  The sum becomes a ``RealExpr``
+only through a conjugation symmetry check, so a symmetry bug cannot slip
+through silently; its cos/sin terms are folded out when it is rendered.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .expressions import (
-    ORIGIN, ComplexExpr, RealExpr, RealTerm, _ordered, _product, _reduced, _scalar, _summed
+    ORIGIN, ComplexExpr, RealExpr, _key, _ordered, _product, _reduced, _scalar, _summed
 )
 from .operators import FactoredOperator, OperatorPoly
 from .rationals import GaussianRational
@@ -144,47 +137,6 @@ def solve_particular(P: OperatorPoly, g: RealExpr) -> Tuple[RealExpr, SolveTrace
     return Y, SolveTrace(P, gc, tuple(steps))
 
 
-def exponential_input(P: OperatorPoly, A: GaussianRational, alpha: GaussianRational) -> ComplexExpr:
-    """Closed form for P(D) y = A e^(alpha x): Y = A x^k e^(alpha x) / P^(k)(alpha).
-
-    k is the multiplicity of alpha as a root of P; the k-th derivative of P
-    cannot vanish there, so the division is always legal.
-    """
-    if P.is_zero():
-        raise ValueError("cannot solve against the zero operator")
-    k = P.multiplicity_at(alpha)
-    deriv = P
-    for _ in range(k):
-        deriv = deriv.formal_derivative()
-    denom = deriv.evaluate(alpha)
-    return ComplexExpr((((A / denom), k, alpha),))
-
-
-def resonant_trig_solution(beta: Fraction, k: int, trig: str) -> RealExpr:
-    """Particular solution of (D^2 + beta^2)^k y = cos(beta x) or sin(beta x).
-
-    The magnitude is always x^k / (k! (2 beta)^k).  For even k the trig
-    function survives with sign (-1)^(k/2); for odd k = 2p+1 it swaps, with
-    sign (-1)^p going cos -> sin and (-1)^(p+1) going sin -> cos.
-    """
-    beta = Fraction(beta)
-    if beta <= 0 or k < 1 or trig not in ("cos", "sin"):
-        raise ValueError("need beta > 0, k >= 1, trig in {cos, sin}")
-    magnitude = Fraction(1, math.factorial(k)) / (2 * beta) ** k
-    if k % 2 == 0:
-        sign = -1 if (k // 2) % 2 else 1
-        out_trig = trig
-    else:
-        p = (k - 1) // 2
-        if trig == "cos":
-            sign = -1 if p % 2 else 1
-            out_trig = "sin"
-        else:
-            sign = -1 if (p + 1) % 2 else 1
-            out_trig = "cos"
-    return RealExpr([RealTerm(sign * magnitude, k, Fraction(0), beta, out_trig)])
-
-
 @dataclass(frozen=True)
 class KernelBasis:
     """Ordered basis of the solution space of P(D) y = 0."""
@@ -205,11 +157,14 @@ def kernel_basis(F: FactoredOperator) -> KernelBasis:
     """
     elements = []
     for f in F.factors:
+        s, p, q = _key(GaussianRational._raw(f.alpha, f.beta))
         for j in range(f.mult):
-            if f.beta == 0:
-                elements.append(RealExpr([RealTerm(1, j, f.alpha, 0, None)]))
-            else:
-                elements.append(RealExpr([RealTerm(1, j, f.alpha, f.beta, "cos")]))
-                elements.append(RealExpr([RealTerm(1, j, f.alpha, f.beta, "sin")]))
+            zero, one = [0] * (j + 1), [0] * j + [1]
+            if not q:  # x^j e^(ax)
+                parts = [{(s, p, 0): (1, one, zero)}]
+            else:  # cos(bx) is 1/2 at a +- bi; sin(bx) is -i/2 at a + bi and i/2 at a - bi
+                cos = {(s, p, q): (2, one, zero), (s, p, -q): (2, one, zero)}
+                parts = [cos, {(s, p, q): (2, zero, [0] * j + [-1]), (s, p, -q): (2, zero, one)}]
+            elements += [RealExpr._of(ComplexExpr._of(freqs)) for freqs in parts]
     labels = tuple(f"C{i + 1}" for i in range(len(elements)))
     return KernelBasis(tuple(elements), labels)

@@ -17,7 +17,6 @@ from diffop import (
     ComplexExpr,
     check_kernel,
     check_particular,
-    exponential_input,
     factor_exact,
     gauss,
     kernel_basis,
@@ -27,11 +26,11 @@ from diffop import (
     render_latex,
     render_operator,
     render_text,
-    resonant_trig_solution,
     solve_particular,
     UnfactorableOverGaussianRationals,
 )
 from diffop.cli import EXIT_OK, EXIT_RESIDUAL, main
+from closedforms import exponential_input, resonant_trig_solution
 from genutil import (
     rand_complex_expr,
     rand_factored,

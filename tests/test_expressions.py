@@ -17,7 +17,7 @@ from diffop import (
     gauss,
 )
 from genutil import cexpr, rand_fraction, rand_gauss, rexpr
-from termref import TermSum
+from termref import RealRef, TermSum
 
 fractions = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 gaussians = st.builds(gauss, fractions, fractions)
@@ -295,3 +295,90 @@ def test_dense_form_matches_term_merge_reference():
         assert (a - a) == ComplexExpr() and hash(a - a) == hash(ComplexExpr())
         assert (a == b) == (ra.terms == rb.terms)
     assert folds > 300 and errors > 300  # both fold outcomes are exercised
+
+
+# --- real form against the term-merge reference ----------------------------
+
+
+def _rand_real_terms(rng):
+    """(coeff, k, alpha, beta, trig) tuples over a few (alpha, beta) groups
+    with denominators, shared by several terms, with repeated and cancelling
+    terms, and now and then a list that cancels to zero."""
+    groups = [(Fraction(0), Fraction(0)), (rand_fraction(rng, 4, nonzero=True), Fraction(0))]
+    groups += [(rand_fraction(rng, 4), abs(rand_fraction(rng, 5, nonzero=True))) for _ in range(2)]
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        alpha, beta = rng.choice(groups)
+        trig = rng.choice(("cos", "sin")) if beta else None
+        c, k = rand_fraction(rng, 9), rng.randint(0, 4)
+        terms.append((c, k, alpha, beta, trig))
+        if rng.random() < 0.2:
+            terms.append((-c, k, alpha, beta, trig))
+        if rng.random() < 0.2:
+            terms.append((rand_fraction(rng, 3), k, alpha, beta, trig))
+    if rng.random() < 0.1:
+        terms += [(-c, *rest) for c, *rest in terms]
+    rng.shuffle(terms)
+    return terms
+
+
+def _real(terms) -> RealExpr:
+    return RealExpr(RealTerm(*t) for t in terms)
+
+
+def _same_real(dense, ref):
+    """dense holds exactly the reference value, seen through every accessor."""
+    assert [(t.coeff, t.k, t.alpha, t.beta, t.trig) for t in dense.terms] == list(ref.terms)
+    assert dense.terms is dense.terms
+    assert dense == ref.expr() and hash(dense) == hash(ref.expr())
+    assert dense.is_zero() == ref.is_zero()
+    assert dense.to_complex() == ref.to_complex().expr()
+    for x in (0.0, 0.7, -1.3):
+        assert dense.evaluate(x) == ref.evaluate(x)
+
+
+def test_real_form_matches_term_merge_reference():
+    rng = random.Random(20261019)
+    zeros = folds = errors = 0
+    for _ in range(300):
+        ta, tb = _rand_real_terms(rng), _rand_real_terms(rng)
+        a, b, ra, rb = _real(ta), _real(tb), RealRef(ta), RealRef(tb)
+        _same_real(a, ra)
+        _same_real(a - b, ra - rb)
+        _same_real(b - a, rb - ra)
+        zeros += ra.is_zero()
+        # equal values built along different paths agree on == and hash
+        shuffled = _real(rng.sample(ta, len(ta)))
+        assert a == shuffled and hash(a) == hash(shuffled)
+        assert (a - a) == RealExpr() and hash(a - a) == hash(RealExpr())
+        assert (a == b) == (ra == rb) and (a - b).is_zero() == (ra == rb)
+        assert a.to_complex().to_real() == a
+        # ComplexExpr.to_real on symmetric and broken values
+        for tc in (_rand_terms(rng), [(t.coeff, t.k, t.lam) for t in TermSum.from_real(a).terms]):
+            try:
+                ref = RealRef.fold(TermSum(tc))
+            except ConjugateSymmetryError:
+                with pytest.raises(ConjugateSymmetryError):
+                    ComplexExpr(tc).to_real()
+                errors += 1
+                continue
+            _same_real(ComplexExpr(tc).to_real(), ref)
+            folds += 1
+    assert zeros > 30 and folds > 300 and errors > 100  # every branch is exercised
+
+
+def test_to_real_checks_symmetry_before_any_fold(monkeypatch):
+    """A non-symmetric value fails in to_real itself, never later when its
+    terms are read: a lazy fold must not defer the check."""
+    reads = []
+    fold = RealExpr.terms.fget
+    monkeypatch.setattr(RealExpr, "terms", property(lambda self: reads.append(self) or fold(self)))
+    for value in (
+        cexpr((1, 0, gauss(0, 2))),
+        cexpr((gauss(0, 1), 3, 0)),
+        cexpr((1, 0, gauss(1, 2)), (2, 0, gauss(1, -2))),
+        cexpr((1, 1, gauss(0, 2)), (1, 1, gauss(0, -2)), (1, 2, gauss(0, 2))),
+    ):
+        with pytest.raises(ConjugateSymmetryError):
+            value.to_real()
+    assert reads == []

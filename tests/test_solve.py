@@ -9,14 +9,17 @@ from diffop import (
     D,
     ComplexExpr,
     OperatorPoly,
+    RealTerm,
     check_particular,
-    exponential_input,
+    expr_to_json,
     gauss,
-    resonant_trig_solution,
+    render_latex,
+    render_text,
     series_invert,
     solve_particular,
 )
 from diffop.solve import antidifferentiate
+from closedforms import exponential_input, resonant_trig_solution
 from genutil import (
     cexpr,
     rand_fraction,
@@ -308,6 +311,26 @@ def test_randomized_oracle_round_trip():
         g = rand_real_rhs(rng, max_atoms=2, max_degree=3, forced_lam=forced)
         Y, _ = solve_particular(P, g)
         assert check_particular(P, g, Y).is_exact, (P, g)
+
+
+def test_certified_solve_builds_no_real_term_until_render(monkeypatch):
+    """The solve and its certificate stay on complex values: no RealTerm is
+    built before the answer is rendered, and rendering it the way JSON output
+    does (text, LaTeX and terms) folds it once."""
+    built = []
+    post_init = RealTerm.__post_init__
+    monkeypatch.setattr(RealTerm, "__post_init__", lambda t: built.append(t) or post_init(t))
+    rng = random.Random(53)
+    for case in range(50):
+        P, roots = rand_rooted_operator(rng, max_roots=3, height=4)
+        forced = rng.choice(roots)[0] if case % 2 else None
+        g = rand_real_rhs(rng, max_atoms=3, max_degree=3, forced_lam=forced)
+        built.clear()
+        Y, _ = solve_particular(P, g)
+        assert check_particular(P, g, Y).is_exact
+        assert built == [], (P, g)
+        render_text(Y), render_latex(Y), expr_to_json(Y)
+        assert Y.terms is Y.terms and len(built) == len(Y.terms) > 0, (P, g)
 
 
 # --- closed-form cross-checks -----------------------------------------------
