@@ -38,12 +38,13 @@ and rendering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .expressions import ComplexExpr, _integer_parts, _key, _product, _reduced, _scalar, _summed
-from .rationals import GaussianRational, gauss, power, rat_sqrt, scalar_from_json, scalar_to_json
+from .rationals import GaussianRational, gauss, power, scalar_from_json, scalar_to_json
 
 
 class UnfactorableOverGaussianRationals(ValueError):
@@ -336,55 +337,48 @@ class FactoredOperator:
     def from_bases(leading: Fraction, bases: Iterable) -> "FactoredOperator":
         """Normalize (base polynomial, multiplicity) pairs into rational factors.
 
-        Bases are made monic, reducible quadratics are split into their
-        rational linear factors, and anything with a root outside Q(i)
-        (or with irrational alpha/beta) raises
-        UnfactorableOverGaussianRationals.
+        Roots are read off each base's integer vector c, low to high: -c0/c1
+        for a linear base.  A quadratic's integer discriminant
+        c1^2 - 4 c0 c2 gives a double root if zero, two rational roots
+        (larger first) if a positive square, the pair
+        -c1/(2 c2) +- i sqrt(-disc)/(2 |c2|) if minus a square, and
+        UnfactorableOverGaussianRationals otherwise.  Base leading
+        coefficients multiply into ``leading``, and repeated root data merge
+        in the order of first appearance.
         """
         leading = Fraction(leading)
-        factors = []
+        merged: dict = {}
         for base, mult in bases:
-            d, re, im = base._v
-            if not re:
+            d, c, im = base._v
+            if not c:
                 raise ValueError("zero polynomial cannot be a factor")
             if any(im):
                 raise ValueError("factor bases must have real coefficients")
-            leading *= Fraction(re[-1], d) ** mult
-            monic = [Fraction(x, re[-1]) for x in re]
-            if base.degree == 0:
+            if len(c) > 3:
+                raise ValueError(f"factor base of degree {base.degree} not supported")
+            leading *= Fraction(c[-1], d) ** mult
+            if len(c) == 1:
                 continue
-            if base.degree == 1:
-                factors.append(Factor(-monic[0], Fraction(0), mult))
-                continue
-            if base.degree == 2:
-                q, p = monic[0], monic[1]
-                disc = p * p - 4 * q
-                if disc == 0:
-                    factors.append(Factor(-p / 2, Fraction(0), 2 * mult))
-                    continue
-                root = rat_sqrt(abs(disc))
-                if root is None:
+            if len(c) == 2:
+                roots = [(Fraction(-c[0], c[1]), 0, mult)]
+            else:
+                c0, c1, c2 = c
+                disc = c1 * c1 - 4 * c0 * c2
+                root = math.isqrt(abs(disc))
+                if root * root != abs(disc):
                     raise UnfactorableOverGaussianRationals(
-                        f"quadratic factor D^2 + ({p})D + ({q}) has irrational roots"
+                        f"quadratic factor D^2 + ({Fraction(c1, c2)})D + ({Fraction(c0, c2)})"
+                        " has irrational roots"
                     )
-                if disc > 0:
-                    factors.append(Factor((-p + root) / 2, Fraction(0), mult))
-                    factors.append(Factor((-p - root) / 2, Fraction(0), mult))
+                u, half = (-c1, 2 * c2) if c2 > 0 else (c1, -2 * c2)
+                if disc == 0:
+                    roots = [(Fraction(u, half), 0, 2 * mult)]
+                elif disc > 0:
+                    roots = [(Fraction(u + root, half), 0, mult), (Fraction(u - root, half), 0, mult)]
                 else:
-                    factors.append(Factor(-p / 2, root / 2, mult))
-                continue
-            raise ValueError(f"factor base of degree {base.degree} not supported")
-        return FactoredOperator(leading, tuple(_merge_factors(factors)))
-
-
-def _merge_factors(factors: list) -> list:
-    """Combine repeats of the same root data, keeping first-appearance order."""
-    order = []
-    total: dict = {}
-    for f in factors:
-        key = (f.alpha, f.beta)
-        if key not in total:
-            order.append(key)
-            total[key] = 0
-        total[key] += f.mult
-    return [Factor(a, b, total[(a, b)]) for a, b in order]
+                    roots = [(Fraction(u, half), Fraction(root, half), mult)]
+            for alpha, beta, m in roots:
+                if m < 1:  # as Factor would, before a merge can hide it
+                    raise ValueError("multiplicity must be positive")
+                merged[alpha, beta] = merged.get((alpha, beta), 0) + m
+        return FactoredOperator(leading, (Factor(a, b, m) for (a, b), m in merged.items()))

@@ -38,6 +38,7 @@ Roots outside Q(i) raise UnfactorableOverGaussianRationals.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -53,6 +54,9 @@ from .rationals import power
 
 _FUNCTIONS = ("sin", "cos", "exp")
 _IDENTS = ("D", "x", "e") + _FUNCTIONS
+# A numeric literal, a trailing "." included so it can be refused.  ASCII digits
+# only: str.isdigit() also admits superscripts and other scripts' digits.
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?")
 
 # Deepest nesting accepted.  The grammar recurses once per level, so this
 # keeps hostile input like "(((...x...)))" far below Python's recursion limit.
@@ -101,16 +105,10 @@ def _tokenize(src: str) -> list:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                if j + 1 >= n or not src[j + 1].isdigit():
-                    raise ParseError(src, i, j + 1, "malformed decimal literal")
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
+        if "0" <= c <= "9":
+            j = _NUMBER.match(src, i).end()
+            if src[j - 1] == ".":
+                raise ParseError(src, i, j, "malformed decimal literal")
             if j - i - ("." in src[i:j]) > MAX_DIGITS:
                 raise ParseError(src, i, j, f"numeric literal longer than {MAX_DIGITS} digits")
             tokens.append(Token("number", src[i:j], i, j))

@@ -9,7 +9,6 @@ value; results are exact or an exception is raised, never a rounded number.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,17 +46,6 @@ def power(base, exponent: int, one, mul=operator.mul):
         if exponent:
             base = mul(base, base)
     return result
-
-
-def rat_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        return None
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

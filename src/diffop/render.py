@@ -201,32 +201,20 @@ def render_operator(P: OperatorPoly) -> str:
     return _join_signed(pieces)
 
 
+def _d_minus(alpha: Fraction) -> str:
+    """D - alpha, bracketed unless alpha is 0."""
+    return "D" if alpha == 0 else f"(D-{alpha})" if alpha > 0 else f"(D+{-alpha})"
+
+
 def render_factored(F: FactoredOperator) -> str:
-    bits = []
-    if F.leading == -1:
-        prefix = "-"
-    elif F.leading != 1:
-        prefix = ""
-        bits.append(str(F.leading))
-    else:
-        prefix = ""
-    for f in F.factors:
-        if f.beta == 0:
-            if f.alpha == 0:
-                base = "D"
-            elif f.alpha > 0:
-                base = f"(D-{f.alpha})"
-            else:
-                base = f"(D+{-f.alpha})"
-        else:
-            inner = "D^2" if f.alpha == 0 else (
-                f"(D-{f.alpha})^2" if f.alpha > 0 else f"(D+{-f.alpha})^2"
-            )
-            base = f"({inner}+{f.beta * f.beta})"
-        bits.append(base + (f"^{f.mult}" if f.mult > 1 else ""))
+    bits = [
+        (_d_minus(f.alpha) if f.beta == 0 else f"({_d_minus(f.alpha)}^2+{f.beta * f.beta})")
+        + (f"^{f.mult}" if f.mult > 1 else "")
+        for f in F.factors
+    ]
     if not bits:
-        bits.append(str(F.leading))
-        prefix = ""
+        return str(F.leading)
+    prefix = "-" if F.leading == -1 else "" if F.leading == 1 else f"{F.leading}*"
     return prefix + "*".join(bits)
 
 

@@ -110,6 +110,7 @@ def test_coefficient_list_with_fractions_and_decimals(capsys):
         ("", "''"),
         ("7" * 4301 + ",1", "'" + "7" * 40 + "...'"),
         ("1/" + "3" * 4301, "'1/" + "3" * 38 + "...'"),
+        ("\u0663,1", "'\u0663'"),
     ],
     ids=[
         "exponent",
@@ -121,6 +122,7 @@ def test_coefficient_list_with_fractions_and_decimals(capsys):
         "empty-list",
         "long-numerator",
         "long-denominator",
+        "arabic-indic-digit",
     ],
 )
 def test_coefficient_list_values_are_bounded_literals(capsys, coeffs, shown):

@@ -15,9 +15,11 @@ from diffop import (
     FactoredOperator,
     OperatorPoly,
     gauss,
+    render_factored,
 )
 from genutil import cexpr, rand_complex_expr, rand_fraction, rand_gauss, rand_operator
 from opref import OpRef
+from rootref import from_bases_ref, render_factored_ref
 from termref import TermSum
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=5)
@@ -369,6 +371,112 @@ def test_from_bases_rejects_irrational_split():
 
     with pytest.raises(UnfactorableOverGaussianRationals):
         FactoredOperator.from_bases(Fraction(1), [(D**2 - 2, 1)])
+
+
+def _sweep_base(rng, roots):
+    """(kind, coefficient list low to high, multiplicity) of one random base.
+
+    Real roots already used in the list are in ``roots``; a linear base or a
+    planted quadratic picks one of them again half the time, so that root
+    data repeat across the list.
+    """
+
+    def root():
+        return rng.choice(roots) if roots and rng.random() < 0.5 else rand_fraction(rng, 4)
+
+    # the base's leading coefficient: monic half the time, else signed and fractional
+    s = rng.choice([Fraction(1), Fraction(-1)]) if rng.random() < 0.5 else rand_fraction(rng, 5, True)
+    kind = rng.choice(
+        ["constant", "linear", "distinct", "double", "conjugate", "irrational", "random",
+         "zero-constant", "other"]
+    )
+    if kind == "constant":
+        coeffs = [s]
+    elif kind == "linear":
+        r = root()
+        coeffs = [-s * r, s]
+        roots.append(r)
+    elif kind == "distinct":
+        r1, r2 = root(), rand_fraction(rng, 4)
+        coeffs = [s * r1 * r2, -s * (r1 + r2), s]
+        roots += [r1, r2]
+    elif kind == "double":
+        r = root()
+        coeffs = [s * r * r, -2 * s * r, s]
+        roots.append(r)
+    elif kind == "conjugate":
+        a, b = rand_fraction(rng, 4), rand_fraction(rng, 4, True)
+        coeffs = [s * (a * a + b * b), -2 * s * a, s]
+    elif kind == "irrational":
+        a, n = rand_fraction(rng, 4), rng.choice([2, 3, 5, 6, -2, -3, -7])
+        # (D - a)^2 - n, whose roots a +- sqrt(n) leave Q(i)
+        coeffs = [s * (a * a - n), -2 * s * a, s]
+    elif kind == "random":
+        coeffs = [rand_fraction(rng, 4), rand_fraction(rng, 4), s]
+    elif kind == "zero-constant":
+        coeffs = [Fraction(0)] + [rand_fraction(rng, 4) for _ in range(rng.randint(0, 1))] + [s]
+    else:
+        kind = rng.choice(["zero", "non-real", "cubic", "no-multiplicity"])
+        coeffs = {
+            "zero": [Fraction(0)] * rng.randint(0, 2),
+            "non-real": [gauss(rand_fraction(rng, 3), 1), s],
+            "cubic": [rand_fraction(rng, 3), Fraction(0), Fraction(1), s],
+            "no-multiplicity": [rand_fraction(rng, 3), s],
+        }[kind]
+    coeffs = [gauss(c) if isinstance(c, Fraction) else c for c in coeffs]
+    mult = 0 if kind == "no-multiplicity" else rng.choice([1, 1, 1, 2, 3])
+    return kind, coeffs, mult
+
+
+def _from_bases_outcome(from_bases, render, leading, bases):
+    """("ok", leading, factors, text) or ("error", type, message)."""
+    try:
+        leading, factors = from_bases(leading, bases)
+        return "ok", leading, factors, render(leading, factors)
+    except ValueError as err:
+        return "error", type(err), str(err)
+
+
+def _from_bases_diffop(leading, bases):
+    F = FactoredOperator.from_bases(leading, [(OperatorPoly(c), m) for c, m in bases])
+    return F.leading, tuple((f.alpha, f.beta, f.mult) for f in F.factors)
+
+
+def _render_diffop(leading, factors):
+    return render_factored(FactoredOperator(leading, (Factor(*f) for f in factors)))
+
+
+def test_from_bases_matches_fraction_root_reference():
+    """600 seeded base lists: same factors, merge order and text, or the same error."""
+    rng = random.Random(20261018)
+    seen = {"ok": 0, "error": 0, "merged": 0, "minus": 0, "no-factors": 0}
+    kinds = set()
+    for _ in range(600):
+        roots = []
+        bases = []
+        for _ in range(rng.choice([0, 1, 1, 2, 2, 3, 4])):
+            kind, coeffs, mult = _sweep_base(rng, roots)
+            kinds.add(kind)
+            bases.append((coeffs, mult))
+            if rng.random() < 0.15:  # the same base again
+                bases.append((coeffs, rng.choice([1, 2])))
+        leading = rng.choice([Fraction(1), Fraction(-1), rand_fraction(rng, 5, True)])
+        if rng.random() < 0.02:
+            leading = Fraction(0)
+        ref = _from_bases_outcome(from_bases_ref, render_factored_ref, leading, bases)
+        got = _from_bases_outcome(_from_bases_diffop, _render_diffop, leading, bases)
+        assert got == ref, (leading, bases)
+        seen[ref[0]] += 1
+        if ref[0] == "ok":
+            assert all(type(x) is Fraction for f in got[2] for x in f[:2])
+            seen["merged"] += sum(len(from_bases_ref(1, [b])[1]) for b in bases) > len(ref[2])
+            seen["minus"] += ref[3].startswith("-") and ref[1] == -1 and bool(ref[2])
+            seen["no-factors"] += not ref[2]
+    assert kinds == {
+        "constant", "linear", "distinct", "double", "conjugate", "irrational", "random",
+        "zero-constant", "zero", "non-real", "cubic", "no-multiplicity",
+    }
+    assert min(seen.values()) >= 20, seen
 
 
 def test_expand_round_trips():

@@ -218,6 +218,32 @@ def test_unexpected_character_is_rejected():
         parse_rhs("3 @ x")
 
 
+# (flag, source, index of the refused character): superscript two and
+# Arabic-Indic three are digits to str.isdigit(), but not to the grammar
+_NON_ASCII_DIGITS = [
+    ("--rhs", "x\u00b2", 1),
+    ("--rhs", "x^\u00b2", 2),
+    ("--rhs", "\u0663*x", 0),
+    ("--op", "D-\u0663", 2),
+    ("--op", "D\u00b2+1", 1),
+]
+
+
+@pytest.mark.parametrize("flag, src, at", _NON_ASCII_DIGITS)
+def test_non_ascii_digits_are_unexpected_characters(capsys, monkeypatch, flag, src, at):
+    with pytest.raises(ParseError) as info:
+        (parse_rhs if flag == "--rhs" else parse_operator)(src)
+    message = f"1:{at + 1}: unexpected character {src[at]!r}"
+    assert (info.value.start, info.value.end, str(info.value)) == (at, at + 1, message)
+    problem = {"op": "D-1", "rhs": "x", flag[2:]: src}
+    assert main(["solve", "--op", problem["op"], "--rhs", problem["rhs"]]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: {message}", "  " + src, "  " + " " * at + "^"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"problems": [problem]})))
+    assert main(["batch"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == [{"status": "error", "error": message}]
+
+
 def test_multiline_error_coordinates():
     with pytest.raises(ParseError) as info:
         parse_rhs("x +\n y +")

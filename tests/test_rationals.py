@@ -12,7 +12,6 @@ from diffop.rationals import (
     ONE,
     ZERO,
     rat_from_json,
-    rat_sqrt,
     rat_to_json,
     scalar_from_json,
     scalar_to_json,
@@ -106,13 +105,6 @@ def test_rational_json_round_trip(q):
 def test_scalar_json_uses_rational_form_when_real():
     assert scalar_to_json(gauss(Fraction(3, 7))) == {"num": "3", "den": "7"}
     assert scalar_from_json({"num": "3", "den": "7"}) == gauss(Fraction(3, 7))
-
-
-def test_rat_sqrt():
-    assert rat_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rat_sqrt(Fraction(0)) == Fraction(0)
-    assert rat_sqrt(Fraction(2)) is None
-    assert rat_sqrt(Fraction(-1)) is None
 
 
 def test_str_forms():
