@@ -21,6 +21,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from .checks import check_particular
 from .expressions import InternalInvariantError, RealExpr
@@ -163,8 +164,17 @@ def _cmd_solve(args) -> int:
     else:
         out = _render_expr(Y, args.format)
         if general is not None:
-            tail = " + ".join(f"{label}*{text}" for label, text in general)
-            out = f"{out} + {tail}" if out != "0" else tail
+            if args.format == "latex":
+                # C_{n} juxtaposed with its element, the sum set tight as render_latex sets it
+                plus = "+"
+                terms = [
+                    f"C_{{{label[1:]}}}" + (text if text != "1" else "") for label, text in general
+                ]
+            else:
+                plus = " + "
+                terms = [f"{label}*{text}" for label, text in general]
+            tail = plus.join(terms)
+            out = f"{out}{plus}{tail}" if out != "0" else tail
         print(out)
     return EXIT_OK
 
@@ -216,6 +226,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verdict.is_exact else EXIT_RESIDUAL
 
 
+def _problem_shape_error(problem) -> Optional[str]:
+    """What is wrong with the shape of one batch item, or None."""
+    if not isinstance(problem, dict):
+        return f'must be an object with string "op" and "rhs", not {type(problem).__name__}'
+    for field in ("op", "rhs"):
+        if field not in problem:
+            return f'"{field}" is missing'
+        if not isinstance(problem[field], str):
+            return f'"{field}" must be a string, not {type(problem[field]).__name__}'
+    return None
+
+
 def _cmd_batch(args) -> int:
     try:
         payload = json.load(sys.stdin)
@@ -225,7 +247,11 @@ def _cmd_batch(args) -> int:
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise _Failure(EXIT_USAGE, f"batch input must be JSON {{\"problems\": [...]}}: {exc}")
     results = []
-    for problem in problems:
+    for index, problem in enumerate(problems):
+        shape = _problem_shape_error(problem)
+        if shape is not None:
+            results.append({"status": "error", "error": f"problem {index}: {shape}"})
+            continue
         try:
             parsed = parse_operator(problem["op"])
             rhs = parse_rhs(problem["rhs"])
@@ -233,10 +259,13 @@ def _cmd_batch(args) -> int:
             results.append(
                 {"status": "ok", "answer": render_text(Y), "terms": expr_to_json(Y)}
             )
-        except (ParseError, _Failure, KeyError, TypeError, ValueError) as exc:
+        except (ParseError, _Failure, ValueError) as exc:
             results.append({"status": "error", "error": str(exc)})
         except InternalInvariantError as exc:
             results.append({"status": "internal", "error": str(exc)})
+        except (KeyError, TypeError) as exc:
+            # the item's shape is checked above, so these come from a bug
+            results.append({"status": "internal", "error": f"{type(exc).__name__}: {exc}"})
     print(json.dumps(results, indent=2))
     return EXIT_OK
 

@@ -105,8 +105,18 @@ def _convolved(a: list, b: list) -> list:
 
 
 def _product(u: tuple, v: tuple) -> tuple:
-    """u * v over the product of the denominators, not reduced."""
+    """u * v over the product of the denominators, not reduced.
+
+    When either vector has one entry a + bi, the other's entries are scaled
+    by it directly; otherwise the product takes four convolutions.
+    """
+    if len(v[1]) == 1:
+        u, v = v, u
     (du, ur, ui), (dv, vr, vi) = u, v
+    if len(ur) == 1:
+        a, b = ur[0], ui[0]
+        pairs = list(zip(vr, vi))
+        return du * dv, [a * x - b * y for x, y in pairs], [a * y + b * x for x, y in pairs]
     re = [x - y for x, y in zip(_convolved(ur, vr), _convolved(ui, vi))]
     im = [x + y for x, y in zip(_convolved(ur, vi), _convolved(ui, vr))]
     return du * dv, re, im
@@ -239,7 +249,9 @@ class ComplexExpr:
         return self + (-other)
 
     def __neg__(self) -> "ComplexExpr":
-        return self.scale(-1)
+        return ComplexExpr._of({
+            key: (d, [-x for x in re], [-y for y in im]) for key, (d, re, im) in self.freqs.items()
+        })
 
     def scale(self, c: GaussianRational) -> "ComplexExpr":
         return self * ComplexExpr._of({ORIGIN: _integer_parts((GaussianRational._coerce(c),))})

@@ -20,7 +20,11 @@ points at a span of the source text.
 Both grammars compute on ``ComplexExpr`` values, whose Gaussian-integer
 vectors make sums and products plain integer work.  An operator is the
 frequency 0 alone, its vector indexed by the power of D; ``OperatorPoly``
-wraps that vector of the finished value as it is.
+wraps that vector of the finished value as it is.  A term costs what its
+value costs: a power of a single term (a + bi)/d * x^j * e^(lam x) is formed
+in closed form after the same limits are checked, a product by a number
+scales the other factor's vector, and only sums of terms are raised by
+square-and-multiply.
 
 ``factor_exact`` splits a real-rational operator into rational linear
 factors and irreducible quadratics (D-a)^2 + b^2 with rational a and b,
@@ -43,7 +47,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expressions import ORIGIN, ComplexExpr, InternalInvariantError, RealExpr, _convolved
+from .expressions import (
+    ORIGIN,
+    ComplexExpr,
+    InternalInvariantError,
+    RealExpr,
+    _convolved,
+    _reduced,
+)
 from .operators import (
     D,
     FactoredOperator,
@@ -256,7 +267,7 @@ class _Parser:
             self.fail_expected(self.atom_set)
         if tok.kind == "number":
             self.advance()
-            return self.const(Fraction(tok.text))
+            return self.const(_literal(tok.text))
         if tok.kind == "lparen":
             self.advance()
             self.descend(tok)
@@ -298,14 +309,25 @@ class _Parser:
         return u * v
 
     def raised(self, u: ComplexExpr, n: int, tok: Token) -> ComplexExpr:
-        """u^n by square-and-multiply, refused up front past MAX_DEGREE or when
-        n factors u would hold more than MAX_BITS bits, and each product
-        checked as in ``formed``."""
+        """u^n, refused up front past MAX_DEGREE or when n factors u would hold
+        more than MAX_BITS bits.  A monomial (a + bi)/d * x^j * e^(lam x) is
+        raised in closed form, (a + bi)^n/d^n * x^(jn) * e^(n lam x); any
+        other u by square-and-multiply, each product checked as in ``formed``
+        (whose coefficient limit no monomial's squarings could reach)."""
         if n > MAX_DEGREE:
             self.fail(tok, f"exponent {n} is over the limit of {MAX_DEGREE}")
         if n * _degree(u) > MAX_DEGREE:
             self.fail(tok, f"degree {n * _degree(u)} is over the limit of {MAX_DEGREE}")
         self.bounded(n * _bits(u), tok)
+        if len(u.freqs) == 1:
+            ((s, p, q), (d, re, im)), = u.freqs.items()
+            if not any(re[:-1]) and not any(im[:-1]):
+                a, b = _gaussian_power(re[-1], im[-1], n)
+                g = math.gcd(s, n * p, n * q)
+                zeros = [0] * (n * (len(re) - 1))
+                return ComplexExpr._of({
+                    (s // g, n * p // g, n * q // g): _reduced(d**n, zeros + [a], zeros + [b])
+                })
         return power(u, n, _ONE, lambda a, b: self.formed(a, b, tok))
 
     def bounded(self, bits: int, tok: Token) -> None:
@@ -318,12 +340,29 @@ class _Parser:
 # -- values ------------------------------------------------------------------
 
 
+def _literal(text: str):
+    """The exact value of a numeric literal: an int, or a Fraction for "a.b"."""
+    whole, dot, tail = text.partition(".")
+    return Fraction(int(whole + tail), 10 ** len(tail)) if dot else int(text)
+
+
 def _constant(q: Fraction) -> ComplexExpr:
     return ComplexExpr._of({ORIGIN: (q.denominator, [q.numerator], [0])} if q else {})
 
 
 _ONE = _constant(Fraction(1))
 _VARIABLE = ComplexExpr._of({ORIGIN: (1, [0, 1], [0, 0])})  # x in a function, D in an operator
+
+
+def _gaussian_power(a: int, b: int, n: int) -> tuple:
+    """(a + bi)^n as a pair of ints."""
+    if not b:
+        return a**n, 0
+
+    def times(z, w):
+        return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+    return power((a, b), n, (1, 0), times)
 
 
 def _degree(value: ComplexExpr) -> int:

@@ -81,6 +81,22 @@ def test_solve_general_appends_kernel(capsys):
     assert out.strip() == "1/3*cos(x) + C1*cos(2*x) + C2*sin(2*x)"
 
 
+@pytest.mark.parametrize(
+    "op, rhs, latex, text",
+    [
+        ("D^2+1", "sin(x)", "-\\frac{1}{2}x\\cos x+C_{1}\\cos x+C_{2}\\sin x",
+         "-1/2*x*cos(x) + C1*cos(x) + C2*sin(x)"),
+        ("D^2", "1", "\\frac{1}{2}x^2+C_{1}+C_{2}x", "1/2*x^2 + C1*1 + C2*x"),
+        ("D^2+1", "0", "C_{1}\\cos x+C_{2}\\sin x", "C1*cos(x) + C2*sin(x)"),
+    ],
+)
+def test_solve_general_latex_spells_constants_in_latex(capsys, op, rhs, latex, text):
+    code, out, _ = run(capsys, "solve", "--op", op, "--rhs", rhs, "--general", "--format", "latex")
+    assert code == EXIT_OK and out == latex + "\n"
+    code, out, _ = run(capsys, "solve", "--op", op, "--rhs", rhs, "--general")
+    assert code == EXIT_OK and out == text + "\n"
+
+
 def test_solve_explain_shows_the_steps(capsys):
     code, out, _ = run(
         capsys, "solve", "--op", "D^3-5*D^2+3*D+2",
@@ -322,6 +338,40 @@ def test_batch_marks_internal_failures(capsys, monkeypatch):
         "status": "internal",
         "error": "term x^0 e^((2i)x) has no conjugate partner",
     }
+    assert results[1]["status"] == "error"
+
+
+def test_batch_marks_badly_shaped_items_by_index_and_field(capsys, monkeypatch):
+    problems = [
+        {"op": ["D"], "rhs": "x"},
+        1,
+        {"op": "D"},
+        {"op": 5, "rhs": "x"},
+        {"op": "D", "rhs": "x"},
+    ]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"problems": problems})))
+    assert main(["batch"]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in results] == ["error"] * 4 + ["ok"]
+    assert [r["error"] for r in results[:4]] == [
+        'problem 0: "op" must be a string, not list',
+        'problem 1: must be an object with string "op" and "rhs", not int',
+        'problem 2: "rhs" is missing',
+        'problem 3: "op" must be a string, not int',
+    ]
+
+
+def _engine_bug(P, g):
+    raise TypeError("unsupported operand type(s)")
+
+
+def test_batch_marks_engine_type_errors_internal(capsys, monkeypatch):
+    monkeypatch.setattr(diffop.cli, "solve_particular", _engine_bug)
+    problems = {"problems": [{"op": "D-1", "rhs": "x"}, {"op": "D +", "rhs": "x"}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(problems)))
+    assert main(["batch"]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)
+    assert results[0] == {"status": "internal", "error": "TypeError: unsupported operand type(s)"}
     assert results[1]["status"] == "error"
 
 

@@ -16,8 +16,10 @@ from diffop import (
     RealTerm,
     gauss,
 )
+from diffop.expressions import _product
 from genutil import cexpr, rand_fraction, rand_gauss, rexpr
 from termref import RealRef, TermSum
+from vecref import product_ref
 
 fractions = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 gaussians = st.builds(gauss, fractions, fractions)
@@ -382,3 +384,29 @@ def test_to_real_checks_symmetry_before_any_fold(monkeypatch):
         with pytest.raises(ConjugateSymmetryError):
             value.to_real()
     assert reads == []
+
+
+# --- vector products against the four-convolution reference ----------------
+
+
+def _rand_vector(rng, length):
+    """(d, re, im) as a product may meet it: zero, real or complex entries,
+    trailing zeros and a common factor left in."""
+    d, common = rng.choice((1, 2, 6, 35)), rng.choice((1, 1, 3, 10))
+    re = [common * rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(length)]
+    im = [common * rng.choice((0, 0, 0, rng.randint(-30, 30))) for _ in range(length)]
+    return d * common, re, im
+
+
+def test_scalar_products_match_four_convolutions():
+    rng = random.Random(913)
+    kinds = set()
+    for i in range(600):
+        scalar, other = _rand_vector(rng, 1), _rand_vector(rng, rng.randint(1, 7))
+        u, v = (scalar, other) if i % 2 else (other, scalar)
+        assert _product(u, v) == product_ref(u, v), (u, v)
+        kinds.add((not any(scalar[1] + scalar[2]), bool(scalar[2][0])))
+    assert kinds == {(True, False), (False, False), (False, True)}  # zero, real, complex
+    for _ in range(100):  # the general path, for contrast
+        u, v = _rand_vector(rng, rng.randint(2, 6)), _rand_vector(rng, rng.randint(2, 6))
+        assert _product(u, v) == product_ref(u, v), (u, v)

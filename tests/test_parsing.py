@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from diffop import (
+    ComplexExpr,
     D,
     Factor,
     FactoredOperator,
@@ -27,18 +28,24 @@ from diffop import (
     parse_rhs,
 )
 from diffop.cli import EXIT_OK, EXIT_USAGE, main
+from diffop.expressions import ORIGIN
 from diffop.parsing import (
     MAX_BITS,
     MAX_COEFFICIENTS,
     MAX_DEGREE,
     MAX_DEPTH,
     MAX_DIGITS,
+    Token,
+    _literal,
     _OperatorParser,
+    _Parser,
     _RhsParser,
 )
+import diffop.expressions
 import factorref
 from genutil import rand_factored, rand_fraction, rexpr
 from termref import TermSum
+from vecref import power_ref
 
 F = Fraction
 
@@ -182,6 +189,16 @@ def test_negative_trig_rate_normalizes():
 def test_decimal_literals_are_exact():
     assert parse_rhs("0.25*x") == rexpr((F(1, 4), 1, 0, 0, None))
     assert parse_rhs("1.5") == rexpr((F(3, 2), 0, 0, 0, None))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "7", "007", "10", "0.5", "0.50", "00.25", "123.000", "3.14159", "9" * 60,
+     "1." + "0" * 40 + "1", "0.0", "100.001"],
+)
+def test_literal_values_equal_fraction_of_the_text(text):
+    assert _literal(text) == Fraction(text)
+    assert parse_rhs(text) == rexpr((Fraction(text), 0, 0, 0, None))
 
 
 def test_rhs_division_by_rational_constant():
@@ -609,6 +626,87 @@ def test_parser_power_cliffs_stay_fast():
         t0 = time.perf_counter()
         parse(src)
         assert time.perf_counter() - t0 < 0.5, src
+
+
+# --- closed-form powers of single terms -----------------------------------
+
+
+def _rand_monomial(rng):
+    """(a + bi)/d * x^j * e^(lam x) as a ComplexExpr, lam = (p + qi)/s with
+    s > 1 allowed, p and q of either sign, and the zero frequency."""
+    s = rng.choice((1, 2, 3, 4, 6, 12))
+    p, q = (rng.choice((0, rng.randint(-9, 9))) for _ in range(2))
+    g = math.gcd(s, p, q)
+    a, b = rng.choice((
+        (rng.randint(-20, 20) or 1, 0),
+        (0, rng.randint(-20, 20) or 1),
+        (rng.randint(-20, 20), rng.randint(1, 20) * rng.choice((-1, 1))),
+    ))
+    d, j = rng.choice((1, 2, 3, 5, 12, 35)), rng.randint(0, 6)
+    h = math.gcd(d, a, b)
+    vector = (d // h, [0] * j + [a // h], [0] * j + [b // h])
+    return ComplexExpr._of({(s // g, p // g, q // g): vector})
+
+
+def test_monomial_powers_match_square_and_multiply():
+    rng = random.Random(20261018)
+    tok = Token("op", "^", 0, 1)
+    unreduced = 0
+    for _ in range(600):
+        u, n = _rand_monomial(rng), rng.randint(0, 40)
+        key, = u.freqs
+        assert _RhsParser("x").raised(u, n, tok).freqs == power_ref(u.freqs, n), (u, n)
+        unreduced += n > 1 and math.gcd(key[0], n * key[1], n * key[2]) > 1
+    assert unreduced > 50  # keys whose n-th multiple needs reducing are exercised
+
+
+def _formed_calls(monkeypatch, parse, src):
+    calls = []
+    formed = _Parser.formed
+
+    def counted(self, u, v, tok):
+        calls.append(src)
+        return formed(self, u, v, tok)
+
+    monkeypatch.setattr(_Parser, "formed", counted)
+    parse(src)
+    monkeypatch.setattr(_Parser, "formed", formed)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "parse, base, power",
+    [
+        (parse_rhs, "x", "x^1000"),
+        (parse_operator, "D", "D^1000"),
+        (parse_rhs, "3*exp(-x/2)", "(3*exp(-x/2))^40"),
+    ],
+)
+def test_single_term_powers_form_no_product(monkeypatch, parse, base, power):
+    assert _formed_calls(monkeypatch, parse, power) == _formed_calls(monkeypatch, parse, base)
+
+
+def test_powers_of_sums_still_form_products(monkeypatch):
+    assert _formed_calls(monkeypatch, parse_rhs, "(x+1)") == 0
+    assert _formed_calls(monkeypatch, parse_rhs, "(x+1)^300") > 0
+
+
+def test_products_by_a_number_convolve_nothing(monkeypatch):
+    calls = []
+    convolved = diffop.expressions._convolved
+
+    def counted(a, b):
+        calls.append((a, b))
+        return convolved(a, b)
+
+    monkeypatch.setattr(diffop.expressions, "_convolved", counted)
+    value = parse_rhs("(x+1)*2 - 1/3*sin(2x)*5 + 0.5*x^7*exp(-x)*4").to_complex()
+    number = ComplexExpr._of({ORIGIN: (3, [2], [-1])})  # (2 - i)/3
+    assert value * number == number * value == value.scale(GaussianRational(F(2, 3), F(-1, 3)))
+    assert -value == value.scale(-1) != value
+    assert calls == []
+    parse_rhs("(x+1)*(x-1)")
+    assert calls  # the counter sees a product of two sums
 
 
 # --- nesting depth ----------------------------------------------------------
