@@ -25,21 +25,14 @@ from .expressions import (
     RealExpr,
     RealTerm,
 )
-from .operators import (
-    D,
+from .factor import (
     Factor,
     FactoredOperator,
-    IDENTITY_OP,
-    OperatorPoly,
     UnfactorableOverGaussianRationals,
-)
-from .parsing import (
-    ParsedOperator,
-    ParseError,
     factor_exact,
-    parse_operator,
-    parse_rhs,
 )
+from .operators import D, IDENTITY_OP, OperatorPoly
+from .parsing import ParsedOperator, ParseError, parse_operator, parse_rhs
 from .rationals import GaussianRational, Rational, gauss
 from .render import (
     expr_to_json,

@@ -8,9 +8,10 @@ shown.
 
 Exit codes: 0 success, 1 verification found a residual, 64 usage or parse
 error, 65 operator not factorable over Q(i) (kernel and --general), 70
-internal invariant violation (an answer failing its own certificate or a
-broken conjugate fold).  In ``batch`` an item that hits such a failure gets
-status "internal" instead of "error", and the batch itself still exits 0.
+internal error (an answer failing its own certificate, a broken conjugate
+fold, or any other failure inside the engine).  In ``batch`` an item that
+hits such a failure gets status "internal" instead of "error", and the
+batch itself still exits 0.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from typing import Optional
 
 from .checks import check_particular
 from .expressions import InternalInvariantError, RealExpr
-from .operators import OperatorPoly, UnfactorableOverGaussianRationals
+from .factor import UnfactorableOverGaussianRationals, factor_exact
+from .operators import OperatorPoly
 from .parsing import (
     MAX_DEGREE,
     MAX_DIGITS,
     ParsedOperator,
     ParseError,
-    factor_exact,
     parse_operator,
     parse_rhs,
 )
@@ -68,8 +69,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _print_parse_error(err: ParseError) -> None:
-    print(f"error: {err}", file=sys.stderr)
+def _failure(exc: Exception) -> tuple:
+    """(exit code, message) for an exception out of a command: anything but a
+    ParseError or a _Failure is a bug, as the commands check their inputs."""
+    if isinstance(exc, ParseError):
+        return EXIT_USAGE, str(exc)
+    if isinstance(exc, _Failure):
+        return exc.code, str(exc)
+    if isinstance(exc, InternalInvariantError):
+        return EXIT_INTERNAL, str(exc)
+    return EXIT_INTERNAL, f"{type(exc).__name__}: {exc}"
+
+
+def _print_span(err: ParseError) -> None:
     lines = err.source.splitlines() or [""]
     line_text = lines[err.line - 1]
     width = max(1, min(err.end, len(err.source)) - err.start)
@@ -141,7 +153,7 @@ def _cmd_solve(args) -> int:
     parsed = _parse_operator_arg(args)
     rhs = parse_rhs(args.rhs)
     Y, trace = _solve_checked(parsed.poly, rhs)
-    general = None
+    general = []
     if args.general:
         basis = kernel_basis(_factored_of(parsed))
         general = [
@@ -152,30 +164,26 @@ def _cmd_solve(args) -> int:
         payload = {"answer": _render_expr(Y, "json"), "verdict": {"status": "exact"}}
         if args.explain:
             payload["trace"] = trace_to_json(trace)
-        if general is not None:
+        if args.general:
             payload["general"] = [
                 {"label": label, "element": text} for label, text in general
             ]
         print(json.dumps(payload, indent=2))
         return EXIT_OK
+    answer = _render_expr(Y, args.format)
+    if general:
+        if args.format == "latex":
+            # C_{n} juxtaposed with its element, the sum set tight as render_latex sets it
+            plus = "+"
+            terms = [f"C_{{{label[1:]}}}" + (text if text != "1" else "") for label, text in general]
+        else:
+            plus = " + "
+            terms = [f"{label}*{text}" for label, text in general]
+        answer = plus.join(([answer] if answer != "0" else []) + terms)
     if args.explain:
         print(trace_to_text(trace))
-        print(f"answer: {_render_expr(Y, args.format)}")
-    else:
-        out = _render_expr(Y, args.format)
-        if general is not None:
-            if args.format == "latex":
-                # C_{n} juxtaposed with its element, the sum set tight as render_latex sets it
-                plus = "+"
-                terms = [
-                    f"C_{{{label[1:]}}}" + (text if text != "1" else "") for label, text in general
-                ]
-            else:
-                plus = " + "
-                terms = [f"{label}*{text}" for label, text in general]
-            tail = plus.join(terms)
-            out = f"{out}{plus}{tail}" if out != "0" else tail
-        print(out)
+        answer = f"answer: {answer}"
+    print(answer)
     return EXIT_OK
 
 
@@ -259,13 +267,10 @@ def _cmd_batch(args) -> int:
             results.append(
                 {"status": "ok", "answer": render_text(Y), "terms": expr_to_json(Y)}
             )
-        except (ParseError, _Failure, ValueError) as exc:
-            results.append({"status": "error", "error": str(exc)})
-        except InternalInvariantError as exc:
-            results.append({"status": "internal", "error": str(exc)})
-        except (KeyError, TypeError) as exc:
-            # the item's shape is checked above, so these come from a bug
-            results.append({"status": "internal", "error": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:
+            code, message = _failure(exc)
+            status = "internal" if code == EXIT_INTERNAL else "error"
+            results.append({"status": status, "error": message})
     print(json.dumps(results, indent=2))
     return EXIT_OK
 
@@ -325,7 +330,8 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = ("--op", "--coeffs", "--rhs", "--candidate", "--fn", "--format")
+# Flags whose values may start with '-'.  (--format's never do.)
+_VALUE_FLAGS = ("--op", "--coeffs", "--rhs", "--candidate", "--fn")
 
 
 def _merge_flag_values(argv: list) -> list:
@@ -350,23 +356,24 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(_merge_flag_values(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # argparse reads a value of exactly "--" as its separator and stores [];
+    # the value goes to its own parser as written, to be refused there
+    for flag in _VALUE_FLAGS:
+        if getattr(args, flag[2:], None) == []:
+            setattr(args, flag[2:], "--")
     # answers may print longer ints than CPython allows; parsing caps literals
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except ParseError as err:
-        _print_parse_error(err)
-        return EXIT_USAGE
-    except _Failure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except InternalInvariantError as err:
-        print(f"error: internal error: {err}; please report this input", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code, message = _failure(exc)
+        if code == EXIT_INTERNAL:
+            message = f"internal error: {message}; please report this input"
+        print(f"error: {message}", file=sys.stderr)
+        if isinstance(exc, ParseError):
+            _print_span(exc)
+        return code
     finally:
         sys.set_int_max_str_digits(limit)
 

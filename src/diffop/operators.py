@@ -33,22 +33,16 @@ helpers of ``expressions``, and each result is reduced by one gcd.  A real
 operator has zero imaginary parts, so shifting by a complex frequency keeps
 the representation; the zero operator is (1, [], []).  ``coeffs`` and
 ``coeff`` build ``GaussianRational`` values only for the API, the trace
-and rendering.
+and rendering.  The factored form of an operator is ``factor``'s.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .expressions import ComplexExpr, _integer_parts, _key, _product, _reduced, _scalar, _summed
 from .rationals import GaussianRational, gauss, power, scalar_from_json, scalar_to_json
-
-
-class UnfactorableOverGaussianRationals(ValueError):
-    """The operator has a root outside Q(i); no exact factorization exists here."""
 
 
 def _to_gauss(value) -> GaussianRational:
@@ -275,110 +269,3 @@ _ZERO = (1, [], [])  # the vector of the zero operator
 
 D = OperatorPoly((0, 1))
 IDENTITY_OP = OperatorPoly((1,))
-
-
-@dataclass(frozen=True)
-class Factor:
-    """One real factor of an operator, to a power.
-
-    beta == 0 encodes the linear factor (D - alpha); beta > 0 encodes the
-    irreducible quadratic (D - alpha)^2 + beta^2, whose complex roots are
-    alpha +- i beta.
-    """
-
-    alpha: Fraction
-    beta: Fraction
-    mult: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.mult < 1:
-            raise ValueError("multiplicity must be positive")
-
-    @property
-    def degree(self) -> int:
-        return 1 if self.beta == 0 else 2
-
-    def base(self) -> OperatorPoly:
-        if self.beta == 0:
-            return OperatorPoly((-self.alpha, 1))
-        return OperatorPoly(
-            (self.alpha * self.alpha + self.beta * self.beta, -2 * self.alpha, 1)
-        )
-
-
-@dataclass(frozen=True)
-class FactoredOperator:
-    """Product form leading * prod base_i^mult_i with rational factor data."""
-
-    leading: Fraction
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "leading", Fraction(self.leading))
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.leading:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return sum(f.degree * f.mult for f in self.factors)
-
-    def expand(self) -> OperatorPoly:
-        result = OperatorPoly((self.leading,))
-        for f in self.factors:
-            result = result * f.base() ** f.mult
-        return result
-
-    @staticmethod
-    def from_bases(leading: Fraction, bases: Iterable) -> "FactoredOperator":
-        """Normalize (base polynomial, multiplicity) pairs into rational factors.
-
-        Roots are read off each base's integer vector c, low to high: -c0/c1
-        for a linear base.  A quadratic's integer discriminant
-        c1^2 - 4 c0 c2 gives a double root if zero, two rational roots
-        (larger first) if a positive square, the pair
-        -c1/(2 c2) +- i sqrt(-disc)/(2 |c2|) if minus a square, and
-        UnfactorableOverGaussianRationals otherwise.  Base leading
-        coefficients multiply into ``leading``, and repeated root data merge
-        in the order of first appearance.
-        """
-        leading = Fraction(leading)
-        merged: dict = {}
-        for base, mult in bases:
-            d, c, im = base._v
-            if not c:
-                raise ValueError("zero polynomial cannot be a factor")
-            if any(im):
-                raise ValueError("factor bases must have real coefficients")
-            if len(c) > 3:
-                raise ValueError(f"factor base of degree {base.degree} not supported")
-            leading *= Fraction(c[-1], d) ** mult
-            if len(c) == 1:
-                continue
-            if len(c) == 2:
-                roots = [(Fraction(-c[0], c[1]), 0, mult)]
-            else:
-                c0, c1, c2 = c
-                disc = c1 * c1 - 4 * c0 * c2
-                root = math.isqrt(abs(disc))
-                if root * root != abs(disc):
-                    raise UnfactorableOverGaussianRationals(
-                        f"quadratic factor D^2 + ({Fraction(c1, c2)})D + ({Fraction(c0, c2)})"
-                        " has irrational roots"
-                    )
-                u, half = (-c1, 2 * c2) if c2 > 0 else (c1, -2 * c2)
-                if disc == 0:
-                    roots = [(Fraction(u, half), 0, 2 * mult)]
-                elif disc > 0:
-                    roots = [(Fraction(u + root, half), 0, mult), (Fraction(u - root, half), 0, mult)]
-                else:
-                    roots = [(Fraction(u, half), Fraction(root, half), mult)]
-            for alpha, beta, m in roots:
-                if m < 1:  # as Factor would, before a merge can hide it
-                    raise ValueError("multiplicity must be positive")
-                merged[alpha, beta] = merged.get((alpha, beta), 0) + m
-        return FactoredOperator(leading, (Factor(a, b, m) for (a, b), m in merged.items()))

@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .expressions import ComplexExpr, RealExpr
-from .operators import FactoredOperator, OperatorPoly
+from .factor import FactoredOperator
+from .operators import OperatorPoly
 from .rationals import GaussianRational, rat_to_json, scalar_to_json
 
 

@@ -29,7 +29,8 @@ from typing import Tuple
 from .expressions import (
     ORIGIN, ComplexExpr, RealExpr, _key, _ordered, _product, _reduced, _scalar, _summed
 )
-from .operators import FactoredOperator, OperatorPoly
+from .factor import FactoredOperator
+from .operators import OperatorPoly
 from .rationals import GaussianRational
 
 

@@ -4,7 +4,7 @@ This is the trial-division search diffop used before its modular factorizer:
 candidate roots p/q with p dividing the trailing and q the leading
 coefficient, then every primitive integer quadratic e D^2 + u D + v with
 e | leading, v | trailing and 4ev - u^2 a positive square.  It shares no code
-with ``diffop.parsing.factor_exact`` beyond ``FactoredOperator``, so tests can
+with ``diffop.factor.factor_exact`` beyond ``FactoredOperator``, so tests can
 hold the two against each other: same factors in the same order, same
 multiplicities, same residual message.  It is exponential in the size of the
 coefficients, so tests keep them small.

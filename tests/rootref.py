@@ -10,7 +10,7 @@ time, which spelled D - alpha separately for linear and quadratic factors.
 Both work on plain data: a base is a list of ``GaussianRational``
 coefficients, low to high, and a factored operator is
 (leading, ((alpha, beta, mult), ...)).  Neither shares code with
-``diffop.operators`` or ``diffop.render``, so tests can hold the two against
+``diffop.factor`` or ``diffop.render``, so tests can hold the two against
 each other, exception messages included.
 """
 

@@ -97,6 +97,31 @@ def test_solve_general_latex_spells_constants_in_latex(capsys, op, rhs, latex, t
     assert code == EXIT_OK and out == text + "\n"
 
 
+@pytest.mark.parametrize(
+    "fmt, answer",
+    [("text", "answer: -x + C1*exp(x) + C2*exp(-x)"), ("latex", "answer: -x+C_{1}e^{x}+C_{2}e^{-x}")],
+    ids=["text", "latex"],
+)
+def test_solve_general_explain_ends_with_the_general_solution(capsys, fmt, answer):
+    argv = ("solve", "--op", "D^2-1", "--rhs", "x", "--general", "--format", fmt)
+    code, out, _ = run(capsys, *argv, "--explain")
+    assert code == EXIT_OK
+    assert "truncated inverse series" in out
+    assert out.endswith("\n" + answer + "\n")
+    assert answer[len("answer: "):] + "\n" == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
+    "rhs, fmt, out",
+    [("x", "text", "1/5*x\n"), ("x", "latex", "\\frac{1}{5}x\n"), ("0", "text", "0\n")],
+    ids=["text", "latex", "zero"],
+)
+def test_solve_general_of_a_constant_operator_has_no_kernel_terms(capsys, rhs, fmt, out):
+    assert run(capsys, "solve", "--op", "5", "--rhs", rhs, "--general", "--format", fmt) == (
+        EXIT_OK, out, ""
+    )
+
+
 def test_solve_explain_shows_the_steps(capsys):
     code, out, _ = run(
         capsys, "solve", "--op", "D^3-5*D^2+3*D+2",
@@ -373,6 +398,67 @@ def test_batch_marks_engine_type_errors_internal(capsys, monkeypatch):
     results = json.loads(capsys.readouterr().out)
     assert results[0] == {"status": "internal", "error": "TypeError: unsupported operand type(s)"}
     assert results[1]["status"] == "error"
+
+
+def _failing_on_first_order(exc):
+    """solve_particular, except that it raises exc for an operator of degree 1."""
+    solve = diffop.cli.solve_particular
+
+    def failing(P, g):
+        if P.degree == 1:
+            raise exc
+        return solve(P, g)
+
+    return failing
+
+
+_ENGINE_BUGS = [IndexError("list index out of range"), ZeroDivisionError("division by zero"),
+                ValueError("series inversion needs a nonzero constant coefficient")]
+
+
+@pytest.mark.parametrize("exc", _ENGINE_BUGS, ids=lambda exc: type(exc).__name__)
+def test_any_other_engine_failure_exits_70(capsys, monkeypatch, exc):
+    monkeypatch.setattr(diffop.cli, "solve_particular", _failing_on_first_order(exc))
+    code, out, err = run(capsys, "solve", "--op", "D-1", "--rhs", "x")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == f"error: internal error: {type(exc).__name__}: {exc}; please report this input\n"
+
+
+@pytest.mark.parametrize("exc", _ENGINE_BUGS, ids=lambda exc: type(exc).__name__)
+def test_batch_marks_any_other_engine_failure_internal(capsys, monkeypatch, exc):
+    monkeypatch.setattr(diffop.cli, "solve_particular", _failing_on_first_order(exc))
+    problems = {"problems": [{"op": "D-1", "rhs": "x"}, {"op": "D^2", "rhs": "1"}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(problems)))
+    assert main(["batch"]) == EXIT_OK
+    first, second = json.loads(capsys.readouterr().out)
+    assert first == {"status": "internal", "error": f"{type(exc).__name__}: {exc}"}
+    assert second["status"] == "ok" and second["answer"] == "1/2*x^2"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("kernel", "--op", "--"), "error: 1:3: expected a number, D, or '(', found end of input"),
+        (("solve", "--op", "--", "--rhs", "x"), "error: 1:3: expected a number, D, or '('"),
+        (("solve", "--op", "D", "--rhs", "--"), "error: 1:3: expected a number, x, sin"),
+        (("apply", "--op", "D", "--fn", "--"), "error: 1:3: expected a number, x, sin"),
+        (("verify", "--op", "D", "--rhs", "x", "--candidate", "--"), "error: 1:3: expected a number, x"),
+        (("solve", "--coeffs", "--", "--rhs", "x"), "error: bad --coeffs value '--': expected a number"),
+    ],
+    ids=["kernel-op", "op", "rhs", "fn", "candidate", "coeffs"],
+)
+def test_a_bare_double_dash_value_is_refused_by_its_own_parser(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(message)
+    if "--coeffs" not in argv:  # a spanned parse error points past the two dashes
+        assert err.endswith("\n  --\n    ^\n")
+
+
+def test_a_bare_double_dash_format_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "solve", "--op", "D", "--rhs", "x", "--format", "--")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --format: expected one argument" in err
 
 
 def test_batch_rejects_malformed_payload(capsys, monkeypatch):

@@ -41,7 +41,10 @@ from diffop.parsing import (
     _Parser,
     _RhsParser,
 )
+import diffop
 import diffop.expressions
+import diffop.factor
+import diffop.parsing
 import factorref
 from genutil import rand_factored, rand_fraction, rexpr
 from termref import TermSum
@@ -93,11 +96,26 @@ def test_irrational_quadratic_loses_factored_form():
     assert parsed.factored is None
 
 
-def test_leading_scalar_is_kept():
-    parsed = parse_operator("-2*(D-1)^2")
-    assert parsed.poly == -2 * (D - 1) ** 2
-    assert parsed.factored is not None
-    assert parsed.factored.leading == F(-2)
+# numbers and signs anywhere in a product of bases: (source, leading, factors)
+_CONSTANT_BASES = [
+    ("-2*(D-1)^2", F(-2), (Factor(1, 0, 2),)),
+    ("-(D-1)*3*(D+2)^2", F(-3), (Factor(1, 0, 1), Factor(-2, 0, 2))),
+    ("(D^2+1)*0.5*2", F(1), (Factor(0, 1, 1),)),
+    ("-(-(D-1))^3", F(1), (Factor(1, 0, 3),)),
+    ("(D-1)^0*(D+1)", F(1), (Factor(-1, 0, 1),)),
+    ("-D^2*(-4)", F(4), (Factor(0, 0, 2),)),
+    ("(2D-3)^2*-1", F(-4), (Factor(F(3, 2), 0, 2),)),
+    ("0.5*3", F(3, 2), ()),
+]
+
+
+@pytest.mark.parametrize("src, leading, factors", _CONSTANT_BASES, ids=[c[0] for c in _CONSTANT_BASES])
+def test_leading_scalar_is_kept(src, leading, factors):
+    parsed = parse_operator(src)
+    assert parsed.factored.leading == leading
+    assert parsed.factored.factors == factors
+    assert parsed.factored.expand() == parsed.poly
+    assert (parsed.poly, parsed.factored) == _reference_operator(src)
 
 
 def test_power_of_quadratic_block():
@@ -357,6 +375,10 @@ def _factor_outcome(factor, P):
         return factor(P)
     except UnfactorableOverGaussianRationals as exc:
         return str(exc)
+
+
+def test_factor_exact_is_one_function_under_each_name():
+    assert diffop.factor_exact is diffop.parsing.factor_exact is diffop.factor.factor_exact
 
 
 def test_factor_exact_matches_divisor_search_reference():
