@@ -354,6 +354,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _build_parser().parse_args(_merge_flag_values(list(argv)))
+        if getattr(args, "format", None) == []:
+            # "--format=--": argparse takes the "--" for its separator, stores []
+            # and checks no choice; it refuses the value spelt "--format --"
+            _build_parser().parse_args([args.command, "--format", "--"])
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # argparse reads a value of exactly "--" as its separator and stores [];

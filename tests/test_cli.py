@@ -461,6 +461,17 @@ def test_a_bare_double_dash_format_is_a_usage_error(capsys):
     assert "argument --format: expected one argument" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--op", "D", "--rhs", "x", "--format=--"), ("kernel", "--op", "D^2+1", "--format=--")],
+    ids=["solve", "kernel"],
+)
+def test_an_equals_double_dash_format_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"diffop {argv[0]}: error: argument --format: expected one argument" in err
+
+
 def test_batch_rejects_malformed_payload(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[1, 2]"))
     assert main(["batch"]) == EXIT_USAGE

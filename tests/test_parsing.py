@@ -397,6 +397,78 @@ def test_factor_exact_matches_divisor_search_reference():
     assert sum(isinstance(o, FactoredOperator) and len(o.factors) >= 3 for o in outcomes) > 100
 
 
+_ODD_PRIMES = [p for p in range(3, 1100) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def _root_case(rng):
+    """(g, p, planted): a square-free integer g with g's leading coefficient
+    and discriminant prime to p, half of them with deg g planted roots mod p
+    (so g splits mod p), some with coefficients near MAX_BITS."""
+    while True:
+        p = rng.choice(_ODD_PRIMES)
+        degree = rng.randint(1, min(40, p - 1))
+        if rng.random() < 0.5:
+            planted = sorted(rng.sample(range(p), degree))
+            g = [rng.choice([1, -1]) * (1 + p * rng.randint(0, 9))]
+            for r in planted:
+                g = [a - r * b for a, b in zip([0] + g, g + [0])]
+            g = [c + p * rng.randint(-(10**6), 10**6) for c in g[:-1]] + g[-1:]
+        else:
+            planted = None
+            g = [rng.randint(-(10**9), 10**9) for _ in range(degree)] + [rng.randint(1, 10**9)]
+        if rng.random() < 0.2:
+            j = rng.randrange(len(g))
+            g[j] += p * rng.getrandbits(MAX_BITS - 64 - rng.randrange(64))
+        if g[-1] % p and len(diffop.factor._mod_gcd(g, diffop.factor._derivative(g), p)) == 1:
+            return g, p, planted
+
+
+def test_evaluation_and_splitting_find_the_same_roots(monkeypatch):
+    """Both root paths of _mod_roots, each forced through it, give the same
+    roots mod p: every root of g, the planted ones when g splits.  The
+    lifted roots stay roots mod the lifted modulus and above their residues."""
+    rng = random.Random(1213)
+    limit, sides = diffop.factor._EVALUATION_LIMIT, {True: 0, False: 0}
+    for _ in range(300):
+        g, p, planted = _root_case(rng)
+        sides[p * (len(g) - 1) <= limit] += 1
+        found = {}
+        for forced in (math.inf, 0):
+            monkeypatch.setattr(diffop.factor, "_EVALUATION_LIMIT", forced)
+            found[forced] = sorted(diffop.factor._mod_roots(g, p))
+        assert found[math.inf] == found[0], (g, p)
+        assert all(sum(c * x**j for j, c in enumerate(g)) % p == 0 for x in found[0])
+        if planted is not None:
+            assert found[0] == planted
+        roots, m = diffop.factor._lifted(g, found[0], p, 10**40)
+        assert m > 10**40
+        assert all(r % p == x for r, x in zip(roots, found[0]))
+        assert all(diffop.factor._value(g, r, m) == 0 for r in roots)
+    assert min(sides.values()) > 60
+
+
+def test_a_leading_coefficient_that_forces_a_large_prime_is_split_not_evaluated(monkeypatch):
+    """(L*D - 1)*(D - 2)*((D - 3)^2 + 4) with L the product of the primes
+    = 1 mod 4 below 50,033: the least prime factor_exact may use is 50,033,
+    where evaluating at every residue would not pay."""
+    L = math.prod(p for p in range(5, 50033, 4) if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+    P = OperatorPoly((-1, L)) * (D - 2) * ((D - 3) ** 2 + 4)
+    assert L.bit_length() == 35_671
+    primes, evaluated = [], []
+    mod_roots, evaluated_roots = diffop.factor._mod_roots, diffop.factor._evaluated_roots
+    monkeypatch.setattr(
+        diffop.factor, "_mod_roots", lambda g, p: primes.append(p) or mod_roots(g, p)
+    )
+    monkeypatch.setattr(
+        diffop.factor, "_evaluated_roots", lambda g, p: evaluated.append(p) or evaluated_roots(g, p)
+    )
+    f = factor_exact(P)
+    assert (primes, evaluated) == ([50_033], [])
+    assert f.leading == L
+    assert f.factors == (Factor(F(1, L), F(0), 1), Factor(F(2), F(0), 1), Factor(F(3), F(2), 1))
+    assert f.expand() == P
+
+
 # --- parser values against the term-merge reference --------------------------
 
 
