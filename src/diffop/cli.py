@@ -82,8 +82,8 @@ def _failure(exc: Exception) -> tuple:
 
 
 def _print_span(err: ParseError) -> None:
-    lines = err.source.splitlines() or [""]
-    line_text = lines[err.line - 1]
+    # ParseError counts lines by "\n" alone; splitlines() also breaks at \x0c, \u2028, ...
+    line_text = err.source.split("\n")[err.line - 1]
     width = max(1, min(err.end, len(err.source)) - err.start)
     print(f"  {line_text}", file=sys.stderr)
     print("  " + " " * (err.col - 1) + "^" * width, file=sys.stderr)

@@ -7,9 +7,10 @@ Everything the engine touches is a finite sum of terms
 held in ``ComplexExpr``.  Real inputs with sines and cosines are folded into
 this form through Euler's formula, which turns trig bookkeeping into plain
 field arithmetic in the exponent.  A real value is the conjugation-symmetric
-``ComplexExpr`` it equals, held by ``RealExpr`` with its presentation fold
-into terms c * x^k * e^(a*x) * {1, cos(b*x), sin(b*x)} (rational c, a, b and
-b > 0), which is computed once, when first read.
+``ComplexExpr`` it equals, held by ``RealExpr``.  Its fold reads each group
+x^k * e^(a*x) * {1, cos(b*x), sin(b*x)}, rational a and b >= 0, straight off
+one vector as integer numerators over its denominator; ``terms`` flattens
+the fold into terms with rational coefficients, once, when first read.
 
 A ``ComplexExpr`` is dense by frequency: each lam holds the polynomial that
 multiplies e^(lam x) as Gaussian-integer coefficient vectors over one common
@@ -350,10 +351,6 @@ class RealTerm:
         if self.trig not in (None, "cos", "sin"):
             raise ValueError(f"unknown trig tag {self.trig!r}")
 
-    def sort_key(self):
-        trig_rank = 0 if self.trig in (None, "cos") else 1
-        return (self.alpha, self.beta, self.k, trig_rank)
-
     def evaluate(self, x: float) -> float:
         value = float(self.coeff) * x**self.k * math.exp(float(self.alpha) * x)
         if self.trig == "cos":
@@ -366,8 +363,9 @@ class RealTerm:
 class RealExpr:
     """A real value, held as the conjugation-symmetric ComplexExpr it equals.
 
-    ``==``, ``hash``, ``-`` and ``to_complex`` use that value; ``terms`` is
-    its fold into RealTerms, made on first read.  The constructor
+    ``==``, ``hash``, ``-`` and ``to_complex`` use that value; ``_folded``
+    reads its cos/sin groups off the vectors, and ``terms`` is that fold
+    flattened into RealTerms, made on first read.  The constructor
     Euler-expands RealTerms, which may repeat or cancel.
     """
 
@@ -393,23 +391,34 @@ class RealExpr:
         expr._value, expr._terms = value, None
         return expr
 
+    def _folded(self) -> list:
+        """(alpha, beta, d, parts) per frequency alpha + i beta with beta >= 0,
+        by alpha then beta.  parts holds (trig, {k: numerator}) for the
+        nonempty plain-or-cos part, then the sin part, all over d: the fold
+        c e^(ibx) + conj(c) e^(-ibx) = 2 Re(c) cos(bx) - 2 Im(c) sin(bx)."""
+        out = []
+        freqs = self._value.freqs
+        for key in _ordered(freqs):
+            (s, p, q), (d, re, im) = key, freqs[key]
+            if q < 0:
+                continue
+            # a real frequency has im == 0 and only a plain part
+            tagged = [("cos", 2, re), ("sin", -2, im)] if q else [(None, 1, re)]
+            parts = [(trig, {k: m * x for k, x in enumerate(v) if x}) for trig, m, v in tagged]
+            out.append((Fraction(p, s), Fraction(q, s), d, [part for part in parts if part[1]]))
+        return out
+
     @property
     def terms(self) -> tuple:
-        """The fold c e^(ibx) + conj(c) e^(-ibx) = 2 Re(c) cos(bx) - 2 Im(c) sin(bx)."""
+        """The fold flattened into RealTerms by (alpha, beta, k), cos before sin."""
         if self._terms is None:
-            out = []
-            for (s, p, q), (d, re, im) in self._value.freqs.items():
-                if q < 0:
-                    continue
-                alpha, beta = Fraction(p, s), Fraction(q, s)
-                trig, twice = ("cos", 2) if q else (None, 1)  # a real frequency has im == 0
-                for k, (x, y) in enumerate(zip(re, im)):
-                    if x:
-                        out.append(RealTerm(Fraction(twice * x, d), k, alpha, beta, trig))
-                    if y:
-                        out.append(RealTerm(Fraction(-2 * y, d), k, alpha, beta, "sin"))
-            out.sort(key=RealTerm.sort_key)
-            self._terms = tuple(out)
+            self._terms = tuple(
+                RealTerm(Fraction(poly[k], d), k, alpha, beta, trig)
+                for alpha, beta, d, parts in self._folded()
+                for k in range(1 + max(max(poly) for _, poly in parts))
+                for trig, poly in parts
+                if k in poly
+            )
         return self._terms
 
     def is_zero(self) -> bool:

@@ -38,14 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expressions import (
-    ORIGIN,
-    ComplexExpr,
-    InternalInvariantError,
-    RealExpr,
-    _convolved,
-    _reduced,
-)
+from .expressions import ORIGIN, ComplexExpr, RealExpr, _reduced
 from .factor import FactoredOperator, UnfactorableOverGaussianRationals
 # the benchmark's span "parsing.factor_exact" looks the function up here
 from .factor import factor_exact  # noqa: F401

@@ -1,10 +1,11 @@
 """Presentation layer: plain text, LaTeX, and JSON for every value type.
 
-The canonical expression form is flat; display groups terms by frequency
-(alpha, beta), pulls the common rational factor of a transcendental group,
-and factors the lowest power of x out of each cos/sin/exp part, so answers
-read the way they are written by hand: `3/677*(26*cos(2*x) - sin(2*x))`,
-`-1/9*x^2*(2*x + 1)*exp(2*x)`.  Pure polynomial groups print plainly.
+Display walks RealExpr's fold, one group per frequency (alpha, beta).  It
+pulls out a transcendental group's content, the gcd of its integer
+numerators over their denominator, and the lowest power of x of each
+cos/sin/exp part, so answers read the way they are written by hand:
+`3/677*(26*cos(2*x) - sin(2*x))`, `-1/9*x^2*(2*x + 1)*exp(2*x)`.  Pure
+polynomial groups print plainly.
 
 Text and LaTeX are one layout walk (``_layout``) in two spellings: a
 ``_Spelling`` says how to write a rational, a power of x, a trig or exp
@@ -110,35 +111,30 @@ def _part(poly: dict, leaf, sp: _Spelling) -> tuple:
 def _layout(expr: RealExpr, sp: _Spelling) -> str:
     """The one layout walk behind render_text and render_latex.
 
-    Terms are grouped by (alpha, beta).  A pure polynomial group prints as
-    its monomials.  Any other group pulls out its gcd, signed so the leading
-    coefficient of its first part is positive, then its exponential, and
-    lays out its plain/cos/sin parts with _part, bracketing two or more.
+    One group per frequency of RealExpr's fold.  A pure polynomial group
+    prints as its monomials.  Any other group pulls out its content g/d, g the
+    gcd of its numerators signed so the first part leads positive, then its
+    exponential, and lays out its parts, each divided exactly by g, with _part.
     """
-    groups: dict = {}
-    for t in expr.terms:
-        groups.setdefault((t.alpha, t.beta), {}).setdefault(t.trig, {})[t.k] = t.coeff
     pieces = []
-    for (alpha, beta), by_trig in sorted(groups.items()):
+    for alpha, beta, d, polys in expr._folded():
         if not alpha and not beta:
-            pieces += _monomials(by_trig[None], sp)
+            (_, poly), = polys
+            pieces += _monomials({k: Fraction(n, d) for k, n in poly.items()}, sp)
             continue
-        polys = [(trig, by_trig[trig]) for trig in (None, "cos", "sin") if trig in by_trig]
         first = polys[0][1]
-        coeffs = [c for _, poly in polys for c in poly.values()]
-        g = Fraction(
-            math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs))
-        )
+        g = math.gcd(*(n for _, poly in polys for n in poly.values()))
         g = g if first[max(first)] > 0 else -g
         parts = [
             _part(
-                {k: c / g for k, c in poly.items()},
+                {k: n // g for k, n in poly.items()},
                 trig and sp.trig.format(trig=trig, arg=_rate_x(beta, sp)),
                 sp,
             )
             for trig, poly in polys
         ]
-        bits = [sp.rational(abs(g))] if abs(g) != 1 else []
+        content = abs(Fraction(g, d))
+        bits = [sp.rational(content)] if content != 1 else []
         exp = [sp.exp.format(arg=_rate_x(alpha, sp))] if alpha else []
         if len(parts) == 1:
             # the part's sign is +1 by the choice of g's sign

@@ -195,6 +195,27 @@ def test_parse_errors_point_at_the_source(capsys):
     assert "^" in err  # caret line under the offending span
 
 
+@pytest.mark.parametrize(
+    "flag, source, message, echoed, caret",
+    [
+        # the error sits on the empty line after the last "\n"
+        ("--op", "D^2+\n", "2:1: expected a number, D, or '(', found end of input", "", "^"),
+        # \x0c is whitespace to the tokenizer and no line break to ParseError
+        ("--rhs", "x\x0c+", "1:4: expected a number, x, sin, cos, exp, e, or '(', found end of input",
+         "x\x0c+", "   ^"),
+        # \u2028 and \x85 break lines for str.splitlines() only
+        ("--rhs", "x +\u2028\x85\n*2", "2:1: expected a number, x, sin, cos, exp, e, or '(', found '*'",
+         "*2", "^"),
+    ],
+)
+def test_parse_errors_echo_the_line_parse_error_counts(capsys, flag, source, message, echoed, caret):
+    argv = ["solve", "--op", "D", "--rhs", "x"]
+    argv[argv.index(flag) + 1] = source
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message}\n  {echoed}\n  {caret}\n"
+
+
 def test_kernel_listing(capsys):
     code, out, _ = run(capsys, "kernel", "--op", "D^3")
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
 """Text grammars for operators and right-hand sides, and exact factorization."""
 
+import contextlib
 import io
 import json
 import math
@@ -10,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from diffop import (
     ComplexExpr,
@@ -927,3 +930,32 @@ def test_oversized_inputs_exit_64_and_mark_only_their_batch_item(capsys, monkeyp
     results = json.loads(capsys.readouterr().out)
     assert [r["status"] for r in results] == ["ok", "error", "ok"]
     assert results[1]["error"] == f"1:6: exponent 20000 is over the limit of {MAX_DEGREE}"
+
+
+# --- fuzz -----------------------------------------------------------------
+
+# The grammars' tokens, a stray letter and the line breaks that str.splitlines()
+# knows but ParseError does not count (\x0c and \u2028 are whitespace here).
+_FUZZ_TOKENS = (
+    "D", "x", "e", "sin", "cos", "exp", "y", "^", "+", "-", "*", "/", "(", ")",
+    ".", "0", "1", "2", "12", "0.5", " ", "\n", "\x0c", "\u2028",
+)
+
+
+@given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=12).map("".join))
+@settings(max_examples=300, database=None, deadline=None)
+@seed(20261019)
+def test_fuzzed_sources_parse_or_exit_64(src):
+    """Either parser returns a value or raises ParseError; when it raises,
+    main exits 64 with the error and a caret line, and raises nothing."""
+    for parse, argv in (
+        (parse_operator, ["solve", "--op", src, "--rhs", "x"]),
+        (parse_rhs, ["solve", "--op", "D", "--rhs", src]),
+    ):
+        try:
+            parse(src)
+        except ParseError as exc:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == EXIT_USAGE, src
+            assert err.getvalue().startswith(f"error: {exc}\n") and err.getvalue().endswith("^\n"), src
