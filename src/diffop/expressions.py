@@ -408,16 +408,21 @@ class RealExpr:
             out.append((Fraction(p, s), Fraction(q, s), d, [part for part in parts if part[1]]))
         return out
 
+    def _flattened(self):
+        """(alpha, beta, k, numerator, d, trig) by (alpha, beta, k), cos before sin."""
+        for alpha, beta, d, parts in self._folded():
+            for k in range(1 + max(max(poly) for _, poly in parts)):
+                for trig, poly in parts:
+                    if k in poly:
+                        yield alpha, beta, k, poly[k], d, trig
+
     @property
     def terms(self) -> tuple:
-        """The fold flattened into RealTerms by (alpha, beta, k), cos before sin."""
+        """The fold flattened into RealTerms."""
         if self._terms is None:
             self._terms = tuple(
-                RealTerm(Fraction(poly[k], d), k, alpha, beta, trig)
-                for alpha, beta, d, parts in self._folded()
-                for k in range(1 + max(max(poly) for _, poly in parts))
-                for trig, poly in parts
-                if k in poly
+                RealTerm(Fraction(n, d), k, alpha, beta, trig)
+                for alpha, beta, k, n, d, trig in self._flattened()
             )
         return self._terms
 

@@ -21,9 +21,11 @@ and on one frequency D acts on the polynomial part alone,
 ``evaluate`` and ``shift`` implement the first two exactly, which is what
 lets the solver replace calculus with arithmetic in Q(i).  ``apply`` runs
 Horner's rule on the third, frequency by frequency, directly on the
-Gaussian-integer vectors a ``ComplexExpr`` holds, and returns one.  It is
-the certificate's path and must not go through ``shift``, so the two stay
-independent.
+Gaussian-integer vectors a ``ComplexExpr`` holds, and returns one.  At
+frequency 0, where the solver applies its series, D only differentiates and
+``apply`` is one correlation in the factorial basis; elsewhere lam ties
+every power of D to every entry, and Horner stays.  It is the certificate's
+path and must not go through ``shift``, so the two stay independent.
 
 An operator is held as one reduced Gaussian-integer vector (d, re, im),
 the form of one frequency of a ``ComplexExpr`` (the fraction-free scheme of
@@ -39,6 +41,8 @@ and rendering.  The factored form of an operator is ``factor``'s.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Optional
 
 from .expressions import ComplexExpr, _integer_parts, _key, _product, _reduced, _scalar, _summed
@@ -49,6 +53,13 @@ def _to_gauss(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     return GaussianRational(Fraction(value))
+
+
+def _correlated(a: list, w: list) -> list:
+    """sum_j a_j w_(k+j) for each k < len(w), skipped when a or w is all zeros."""
+    if not (any(a) and any(w)):
+        return [0] * len(w)
+    return [sum(map(mul, a, w[k:])) for k in range(len(w))]
 
 
 class OperatorPoly:
@@ -192,17 +203,22 @@ class OperatorPoly:
         return OperatorPoly._of(_reduced(d * spow[top], *out))
 
     def apply(self, f: ComplexExpr) -> ComplexExpr:
-        """P(D) f, by Horner's rule run separately on each frequency of f.
+        """P(D) f, frequency by frequency of f, for a_j = A_j/da and u = W/du.
 
-        On one frequency D(u e^(lam x)) = (u' + lam u) e^(lam x), so
-        P(D)(u e^(lam x)) = r_0 e^(lam x) with r_n = a_n u and
-        r_j = r_(j+1)' + lam r_(j+1) + a_j u.  With a_j = A_j/da,
-        lam = (p + qi)/s and u = U/du the scaled R_j = da du s^(n-j) r_j obey
+        At frequency 0, D^j x^i = i!/(i-j)! x^(i-j), so with U_i = i! u_i the
+        image is the correlation k! (P(D)u)_k = sum_j a_j U_(k+j), and each
+        term of sum_j A_j (k+j)! W_(k+j) is divisible by k!.  A correlation with
+        an all-zero real or imaginary part, as when P or u is real, is skipped.
 
-            R_n = A_n U,   R_j = s R_(j+1)' + (p + qi) R_(j+1) + s^(n-j) A_j U
+        Elsewhere D(u e^(lam x)) = (u' + lam u) e^(lam x) mixes lam into every
+        entry, so Horner's rule runs: P(D)(u e^(lam x)) = r_0 e^(lam x) with
+        r_n = a_n u and r_j = r_(j+1)' + lam r_(j+1) + a_j u.  With
+        lam = (p + qi)/s the scaled R_j = da du s^(n-j) r_j obey
 
-        on the Gaussian-integer vectors of ``f.freqs``, and r_0 = R_0 / (da du s^n)
-        is reduced once per frequency.  No step goes through ``shift``.
+            R_n = A_n W,   R_j = s R_(j+1)' + (p + qi) R_(j+1) + s^(n-j) A_j W
+
+        and r_0 = R_0 / (da du s^n).  The result is reduced once per
+        frequency, and no step goes through ``shift``.
         """
         da, are, aim = self._v
         n = len(are) - 1
@@ -211,25 +227,33 @@ class OperatorPoly:
         freqs = {}
         for lam, (du, ure, uim) in f.freqs.items():
             s, p, q = lam
-            a, b = are[n], aim[n]
-            rre = [a * u - b * v for u, v in zip(ure, uim)]
-            rim = [a * v + b * u for u, v in zip(ure, uim)]
             spow = 1
-            for j in range(n - 1, -1, -1):
-                spow *= s
-                a, b = are[j] * spow, aim[j] * spow
-                nre = [
-                    p * x - q * y + a * u - b * v
-                    for x, y, u, v in zip(rre, rim, ure, uim)
-                ]
-                nim = [
-                    p * y + q * x + a * v + b * u
-                    for x, y, u, v in zip(rre, rim, ure, uim)
-                ]
-                for k in range(1, len(rre)):
-                    nre[k - 1] += s * k * rre[k]
-                    nim[k - 1] += s * k * rim[k]
-                rre, rim = nre, nim
+            if not (p or q):  # frequency 0
+                fac = list(accumulate(range(1, len(ure)), mul, initial=1))
+                wre, wim = list(map(mul, fac, ure)), list(map(mul, fac, uim))
+                rre = [x - y for x, y in zip(_correlated(are, wre), _correlated(aim, wim))]
+                rim = [x + y for x, y in zip(_correlated(are, wim), _correlated(aim, wre))]
+                rre = [x // c for x, c in zip(rre, fac)]
+                rim = [y // c for y, c in zip(rim, fac)]
+            else:
+                a, b = are[n], aim[n]
+                rre = [a * u - b * v for u, v in zip(ure, uim)]
+                rim = [a * v + b * u for u, v in zip(ure, uim)]
+                for j in range(n - 1, -1, -1):
+                    spow *= s
+                    a, b = are[j] * spow, aim[j] * spow
+                    nre = [
+                        p * x - q * y + a * u - b * v
+                        for x, y, u, v in zip(rre, rim, ure, uim)
+                    ]
+                    nim = [
+                        p * y + q * x + a * v + b * u
+                        for x, y, u, v in zip(rre, rim, ure, uim)
+                    ]
+                    for k in range(1, len(rre)):
+                        nre[k - 1] += s * k * rre[k]
+                        nim[k - 1] += s * k * rim[k]
+                    rre, rim = nre, nim
             v = _reduced(da * du * spow, rre, rim)
             if v is not None:
                 freqs[lam] = v

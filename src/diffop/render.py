@@ -158,15 +158,16 @@ def render_latex(expr: RealExpr) -> str:
 
 
 def expr_to_json(expr: RealExpr) -> list:
+    """The terms of ``RealExpr.terms``, read straight off the fold."""
     return [
         {
-            "coeff": rat_to_json(t.coeff),
-            "k": t.k,
-            "alpha": rat_to_json(t.alpha),
-            "beta": rat_to_json(t.beta),
-            "trig": t.trig,
+            "coeff": rat_to_json(Fraction(n, d)),
+            "k": k,
+            "alpha": rat_to_json(alpha),
+            "beta": rat_to_json(beta),
+            "trig": trig,
         }
-        for t in expr.terms
+        for alpha, beta, k, n, d, trig in expr._flattened()
     ]
 
 

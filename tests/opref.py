@@ -9,6 +9,9 @@ iteration:
 
     s_0 = 1/r_0,    s_j = -(r_1 s_{j-1} + ... + r_j s_0)/r_0.
 
+``OpRef.apply`` is the Horner recurrence ``OperatorPoly.apply`` ran at every
+frequency, frequency 0 included, before frequency 0 became a correlation.
+
 Neither shares code with ``diffop.operators`` or ``diffop.solve`` (the
 integer-parts helper is a local copy), so tests can hold the two against
 each other coefficient by coefficient.
@@ -18,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from diffop import GaussianRational, gauss
+from diffop import ComplexExpr, GaussianRational, gauss
 from diffop.rationals import power
 
 
@@ -182,6 +185,37 @@ class OpRef:
             for j in range(n)
         ]
         return OpRef(out)
+
+    def apply(self, f: ComplexExpr) -> ComplexExpr:
+        """P(D) f by Horner's rule on each frequency's Gaussian-integer vector:
+        with lam = (p + qi)/s, R_n = A_n W and
+        R_j = s R_(j+1)' + (p + qi) R_(j+1) + s^(n-j) A_j W, and the image
+        is R_0 / (da du s^n)."""
+        if self.is_zero():
+            return ComplexExpr()
+        da, are, aim = _integer_parts(self._coeffs)
+        n = self.degree
+        terms = []
+        for (s, p, q), (du, ure, uim) in f.freqs.items():
+            a, b = are[n], aim[n]
+            rre = [a * u - b * v for u, v in zip(ure, uim)]
+            rim = [a * v + b * u for u, v in zip(ure, uim)]
+            spow = 1
+            for j in range(n - 1, -1, -1):
+                spow *= s
+                a, b = are[j] * spow, aim[j] * spow
+                nre = [p * x - q * y + a * u - b * v for x, y, u, v in zip(rre, rim, ure, uim)]
+                nim = [p * y + q * x + a * v + b * u for x, y, u, v in zip(rre, rim, ure, uim)]
+                for k in range(1, len(rre)):
+                    nre[k - 1] += s * k * rre[k]
+                    nim[k - 1] += s * k * rim[k]
+                rre, rim = nre, nim
+            lam, den = GaussianRational(Fraction(p, s), Fraction(q, s)), da * du * spow
+            terms += [
+                (GaussianRational(Fraction(x, den), Fraction(y, den)), k, lam)
+                for k, (x, y) in enumerate(zip(rre, rim))
+            ]
+        return ComplexExpr(terms)
 
     def formal_derivative(self) -> "OpRef":
         """dP/dD by the power rule (a polynomial in D, not an action on f)."""

@@ -1,5 +1,6 @@
 """The command line surface, driven in-process through main()."""
 
+import hashlib
 import io
 import json
 import os
@@ -603,3 +604,26 @@ def test_internal_failure_restores_the_int_str_limit(capsys, monkeypatch):
     monkeypatch.setattr(diffop.cli, "solve_particular", _broken_fold)
     assert run(capsys, "solve", "--op", "D^2+4", "--rhs", "sin(2*x)")[0] == EXIT_INTERNAL
     assert sys.get_int_max_str_digits() == before
+
+
+# sha256 of stdout for answers far past the workloads' sizes, taken before
+# frequency 0 of OperatorPoly.apply became a correlation.  Both solves apply
+# their series at frequency 0.  The first certificate runs there too; the
+# second runs at 1, 2, 7, +-i and +-2i.
+_FOUR_FACTOR = ("(D-1)*(D-2)*(D-3)*(D-5)", "x^300*(exp(x)+exp(2*x)+sin(x)+cos(2*x)+exp(7*x))")
+
+
+@pytest.mark.parametrize(
+    "op, rhs, fmt, digest",
+    [
+        ("(7*D-1)^200", "x^200", "text", "6172f85f31fdbaa90da8cb79e37675772dbda0b79beabafc5a679be440ac71c3"),
+        ("(7*D-1)^200", "x^200", "json", "67236244eb0b182a71ed48401dc6e8db3e4c1134e4ae7b7abba56c1439020df5"),
+        (*_FOUR_FACTOR, "text", "7147d3dac6f0a23224b4e8c27f68d66138a3b7a201129bda6258805c59a606d5"),
+        (*_FOUR_FACTOR, "json", "e0e5dbf9dd3c5311c5ceb29a1156bb08ca31758ed9473b45a77f83b32d1f585e"),
+    ],
+    ids=["power-text", "power-json", "four-factor-text", "four-factor-json"],
+)
+def test_large_answers_keep_their_bytes(capsys, op, rhs, fmt, digest):
+    code, out, err = run(capsys, "solve", "--op", op, "--rhs", rhs, "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Operator polynomials in D: arithmetic, evaluation, shift, application."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -286,6 +287,34 @@ def test_apply_edge_operators_and_inputs():
     constant = OperatorPoly((c,))
     assert constant.apply(f) == f.scale(c) == _apply_by_differentiation(constant, f)
     assert IDENTITY_OP.apply(f) == f
+
+
+def test_apply_at_frequency_zero_matches_references():
+    """The frequency-0 correlation equals repeated differentiation and the
+    Horner recurrence on single polynomials of degree up to 120: real and
+    Gaussian operators and inputs, deg P above and below deg u and 0, zero
+    coefficients and denominators on both sides."""
+    rng = random.Random(47)
+    for case in range(48):
+        m = rng.choice((0, 1, rng.randint(2, 120)))
+        n = (0, rng.randint(1, m + 1), m + rng.randint(1, 8))[case % 3]
+        a, u = _rand_coeffs(rng, n), _rand_coeffs(rng, m)
+        if case % 2:
+            a = [gauss(c.re) for c in a]
+        if case // 2 % 2:
+            u = [gauss(c.re) for c in u]
+        p, f = OperatorPoly(a), ComplexExpr((c, k, gauss(0)) for k, c in enumerate(u))
+        assert p.apply(f) == OpRef(a).apply(f) == _apply_by_differentiation(p, f), (a, u)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 120])
+def test_apply_at_frequency_zero_vanishes_past_the_degree(m):
+    rng = random.Random(m)
+    u = [rand_gauss(rng, 9, nonzero=True) for _ in range(m + 1)]
+    f = ComplexExpr((c, k, gauss(0)) for k, c in enumerate(u))
+    assert (D ** (m + 1)).apply(f).is_zero()
+    assert (D ** (m + 1) * OperatorPoly(_rand_coeffs(rng, 6))).apply(f).is_zero()
+    assert (D**m).apply(f) == ComplexExpr(((u[m] * math.factorial(m), 0, gauss(0)),))
 
 
 @given(operators, operators)
