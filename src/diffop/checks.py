@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .expressions import RealExpr
+from .expressions import ComplexExpr, RealExpr
 from .operators import OperatorPoly
 from .solve import KernelBasis
 
@@ -34,15 +34,29 @@ class Verdict:
 EXACT = Verdict("exact")
 
 
+def _real_image(P: OperatorPoly, Y: RealExpr) -> RealExpr:
+    """P(D)Y, checked real.  Y's symmetry is re-checked in linear time, so a real
+    P is applied at the frequencies a + bi with b >= 0 only and each b > 0 image
+    is mirrored to a - bi; a complex P is applied at every frequency."""
+    value, real = Y.to_complex(), P.is_real()
+    value.to_real()
+    half = {key: v for key, v in value.freqs.items() if key[2] >= 0 or not real}
+    image = P.apply(ComplexExpr._of(half)).freqs
+    if real:
+        image.update({(s, p, -q): (d, re, [-y for y in im])
+                      for (s, p, q), (d, re, im) in image.items() if q > 0})
+    return ComplexExpr._of(image).to_real()
+
+
 def check_particular(P: OperatorPoly, g: RealExpr, Y: RealExpr) -> Verdict:
     """Exact symbolic residual P(D)Y - g; empty means Y solves the equation.
 
-    The image P(D)Y becomes real only after ``to_real`` checks it is
-    conjugation-symmetric (ConjugateSymmetryError otherwise), and is compared
-    with g as values: both are canonical vectors, so equality is structural
-    and no real term is built.
+    ``_real_image`` checks Y and the image P(D)Y conjugation-symmetric
+    (ConjugateSymmetryError otherwise), and the image is compared with g as
+    values: both are canonical vectors, so equality is structural and no
+    real term is built.
     """
-    image = P.apply(Y.to_complex()).to_real()
+    image = _real_image(P, Y)
     if image == g:
         return EXACT
     return Verdict("residual", image - g)
@@ -51,13 +65,10 @@ def check_particular(P: OperatorPoly, g: RealExpr, Y: RealExpr) -> Verdict:
 def check_kernel(P: OperatorPoly, basis: KernelBasis) -> Verdict:
     """Exact iff the basis has degree(P) elements and P kills each one."""
     if len(basis) != P.degree:
-        return Verdict(
-            "residual",
-            None,
-            f"basis has {len(basis)} elements but the operator has degree {P.degree}",
-        )
+        detail = f"basis has {len(basis)} elements but the operator has degree {P.degree}"
+        return Verdict("residual", None, detail)
     for label, element in zip(basis.labels, basis.elements):
-        image = P.apply(element.to_complex()).to_real()
+        image = _real_image(P, element)
         if not image.is_zero():
             return Verdict("residual", image, f"{label} is not annihilated")
     return EXACT

@@ -150,8 +150,10 @@ def _scalar(triple: tuple) -> GaussianRational:
 
 
 def _ordered(freqs: dict) -> list:
-    """The keys of freqs, by real then imaginary part of the frequency."""
-    return sorted(freqs, key=lambda key: (Fraction(key[1], key[0]), Fraction(key[2], key[0])))
+    """The keys of freqs, by real then imaginary part of the frequency: over a
+    common denominator m, by (p m/s, q m/s)."""
+    m = math.lcm(*(s for s, _, _ in freqs))
+    return sorted(freqs, key=lambda key: (key[1] * (m // key[0]), key[2] * (m // key[0])))
 
 
 def _collected(triples) -> dict:

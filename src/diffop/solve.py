@@ -14,10 +14,12 @@ every D^j with j > m annihilates the polynomial.  Newton iteration finds it
 from s_0 = 1/r_0 on Gaussian-integer vectors, each step S <- S (2 - R S)
 doubling the number of exact coefficients.  The leftover D^k is undone by
 antidifferentiating k times with all integration constants zero, which pins
-one canonical particular solution.  Summing the per frequency pieces gives
-a real answer whenever the problem was real.  The sum becomes a ``RealExpr``
-only through a conjugation symmetry check, so a symmetry bug cannot slip
-through silently; its cos/sin terms are folded out when it is rendered.
+one canonical particular solution.  For a real P the piece at conj(lam) is
+the conjugate of the piece at lam, so each conjugate pair is solved once, at
+Im lam > 0, and its partner mirrored.  The sum of the pieces becomes a
+``RealExpr`` only through a conjugation symmetry check, so a symmetry bug
+cannot slip through silently; the certificate checks the answer's symmetry
+again before it applies P at half of the frequencies.
 """
 
 from __future__ import annotations
@@ -109,33 +111,52 @@ class SolveTrace:
     steps: tuple
 
 
+def _conjugate(v: tuple) -> tuple:
+    """(d, re, im) -> (d, re, -im), the vector of the conjugate coefficients."""
+    return v[0], v[1], [-y for y in v[2]]
+
+
+def _mirrored(step: FrequencyStep) -> FrequencyStep:
+    """The step at conj(lam) for a real operator and right-hand side: every
+    field of the step at lam, conjugated."""
+    op = lambda Q: OperatorPoly._of(_conjugate(Q._v))
+    at = lambda f: ComplexExpr._of({(s, p, -q): _conjugate(v) for (s, p, q), v in f.freqs.items()})
+    series = InverseSeries(op(step.series.operator), op(step.series.source), step.series.order)
+    return FrequencyStep(
+        step.lam.conjugate(), at(step.rhs_poly), op(step.shifted), step.resonance, series,
+        at(step.series_applied), at(step.integrated), at(step.contribution),
+    )
+
+
 def solve_particular(P: OperatorPoly, g: RealExpr) -> Tuple[RealExpr, SolveTrace]:
     """One particular solution Y of P(D) y = g, with the worked steps.
 
+    For a real P the step at a - bi, b > 0, is the conjugate of the step at
+    a + bi, so only frequencies with b >= 0 are solved and the rest mirrored.
     Raises ValueError on the zero operator.  A ConjugateSymmetryError out of
     the final fold means an internal bug, never bad input.
     """
     if P.is_zero():
         raise ValueError("cannot solve against the zero operator")
     gc = g.to_complex()
-    steps = []
-    total = {}
-    for key in _ordered(gc.freqs):
-        lam = _scalar(key)
-        poly = ComplexExpr._of({ORIGIN: gc.freqs[key]})
+    keys = _ordered(gc.freqs)
+    mirror = P.is_real()
+    solved = {}
+    for key in keys:
+        if mirror and key[2] < 0:
+            continue
+        lam, poly = _scalar(key), ComplexExpr._of({ORIGIN: gc.freqs[key]})
         shifted = P.shift(lam)
         k = shifted.valuation()
         d, re, im = shifted._v
         series = series_invert(OperatorPoly._of((d, re[k:], im[k:])), len(gc.freqs[key][1]) - 1)
         applied = series.operator.apply(poly)
         integrated = antidifferentiate(applied, k) if k else applied
-        total[key] = integrated.freqs[ORIGIN]
-        contribution = ComplexExpr._of({key: total[key]})
-        steps.append(
-            FrequencyStep(lam, poly, shifted, k, series, applied, integrated, contribution)
-        )
-    Y = ComplexExpr._of(total).to_real()
-    return Y, SolveTrace(P, gc, tuple(steps))
+        contribution = ComplexExpr._of({key: integrated.freqs[ORIGIN]})
+        solved[key] = FrequencyStep(lam, poly, shifted, k, series, applied, integrated, contribution)
+    steps = tuple(solved.get(key) or _mirrored(solved[key[0], key[1], -key[2]]) for key in keys)
+    Y = ComplexExpr._of({key: step.contribution.freqs[key] for key, step in zip(keys, steps)})
+    return Y.to_real(), SolveTrace(P, gc, steps)
 
 
 @dataclass(frozen=True)

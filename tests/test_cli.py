@@ -11,6 +11,7 @@ import time
 import pytest
 
 import diffop.cli
+import diffop.solve
 from diffop import ConjugateSymmetryError
 from diffop.cli import (
     EXIT_INTERNAL,
@@ -372,6 +373,14 @@ def test_internal_fold_failure_exits_70(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert "internal error" in err and "please report this input" in err
+
+
+def test_unconjugated_mirror_exits_70(capsys, monkeypatch):
+    # a mirror that forgets to negate im leaves the answer non-real
+    monkeypatch.setattr(diffop.solve, "_conjugate", lambda v: v)
+    code, out, err = run(capsys, "solve", "--op", "D^2+4", "--rhs", "x*sin(x)+cos(2*x)")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert "internal error" in err and "no conjugate partners" in err
 
 
 def test_batch_marks_internal_failures(capsys, monkeypatch):

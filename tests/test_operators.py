@@ -307,6 +307,27 @@ def test_apply_at_frequency_zero_matches_references():
         assert p.apply(f) == OpRef(a).apply(f) == _apply_by_differentiation(p, f), (a, u)
 
 
+def test_apply_off_frequency_zero_matches_references():
+    """Each form of the Horner step (a complex coefficient, p != 0, p = 0, and
+    p = 0 with a zero coefficient), at s = 1 and s > 1 and on real, imaginary
+    and complex u, equals repeated differentiation and the full recurrence."""
+    rng = random.Random(71)
+    for case in range(60):
+        s = rng.choice((1, 1, 2, 3))
+        p, q = rng.choice(((0, 1), (0, -2), (3, 0), (-1, 0), (2, 1), (1, -3)))
+        lam = gauss(Fraction(p, s), Fraction(q, s))
+        a = _rand_coeffs(rng, rng.randint(0, 12))
+        if case % 2:
+            a = [gauss(c.re) for c in a]
+        if case % 3 == 0:
+            a = [c if j % 2 == 0 else gauss(0) for j, c in enumerate(a)]
+        u = _rand_coeffs(rng, rng.randint(0, 15))
+        if case // 2 % 2:
+            u = [gauss(0, c.im) if case % 4 == 2 else gauss(c.re) for c in u]
+        op, f = OperatorPoly(a), ComplexExpr((c, k, lam) for k, c in enumerate(u))
+        assert op.apply(f) == OpRef(a).apply(f) == _apply_by_differentiation(op, f), (a, u, lam)
+
+
 @pytest.mark.parametrize("m", [0, 1, 7, 120])
 def test_apply_at_frequency_zero_vanishes_past_the_degree(m):
     rng = random.Random(m)

@@ -7,15 +7,18 @@ from fractions import Fraction
 import pytest
 
 from diffop import (
+    ComplexExpr,
     ConjugateSymmetryError,
     D,
     KernelBasis,
+    RealExpr,
     check_kernel,
     check_particular,
     kernel_basis,
     numeric_spot_check,
     gauss,
     parse_operator,
+    parse_rhs,
     render_text,
     solve_particular,
 )
@@ -46,6 +49,36 @@ def test_non_real_image_is_an_internal_error():
     P = D + gauss(0, 1)
     with pytest.raises(ConjugateSymmetryError):
         check_particular(P, rexpr((1, 0, 0, 0, None)), rexpr((1, 1, 0, 0, None)))
+
+
+def _broken_mirrors(Y: RealExpr) -> list:
+    """Non-symmetric values that agree with Y at every frequency a + bi, b >= 0."""
+    freqs = Y.to_complex().freqs
+    (s, p, q), (d, re, im) = next((key, v) for key, v in freqs.items() if key[2] > 0)
+    mirror = (s, p, -q)
+    return [
+        {key: v for key, v in freqs.items() if key != mirror},  # partner dropped
+        {**freqs, mirror: (d, re, im)},  # partner not conjugated
+        {**freqs, mirror: (2 * d, re, [-y for y in im])},  # partner halved
+    ]
+
+
+def test_non_symmetric_answer_is_an_internal_error():
+    # the certificate applies a real P at b >= 0 only and mirrors the rest, so
+    # it must refuse a "real" value whose b < 0 half is not the mirror of the
+    # other, never call it exact
+    P = (D - 1) * (D**2 + 4)
+    g = parse_rhs("x*sin(2*x) + exp(x)*cos(x)")
+    Y, _ = solve_particular(P, g)
+    for freqs in _broken_mirrors(Y):
+        with pytest.raises(ConjugateSymmetryError):
+            check_particular(P, g, RealExpr._of(ComplexExpr._of(freqs)))
+        with pytest.raises(ConjugateSymmetryError):
+            check_kernel(D, KernelBasis((RealExpr._of(ComplexExpr._of(freqs)),), ("C1",)))
+    real_part = dict(Y.to_complex().freqs)
+    real_part[1, 0, 0] = (1, [1], [1])  # an imaginary part at a real frequency
+    with pytest.raises(ConjugateSymmetryError):
+        check_particular(P, g, RealExpr._of(ComplexExpr._of(real_part)))
 
 
 def test_constants_solve_first_derivative():
