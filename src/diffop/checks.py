@@ -34,7 +34,7 @@ class Verdict:
 EXACT = Verdict("exact")
 
 
-def _real_image(P: OperatorPoly, Y: RealExpr) -> RealExpr:
+def real_image(P: OperatorPoly, Y: RealExpr) -> RealExpr:
     """P(D)Y, checked real.  Y's symmetry is re-checked in linear time, so a real
     P is applied at the frequencies a + bi with b >= 0 only and each b > 0 image
     is mirrored to a - bi; a complex P is applied at every frequency."""
@@ -51,12 +51,12 @@ def _real_image(P: OperatorPoly, Y: RealExpr) -> RealExpr:
 def check_particular(P: OperatorPoly, g: RealExpr, Y: RealExpr) -> Verdict:
     """Exact symbolic residual P(D)Y - g; empty means Y solves the equation.
 
-    ``_real_image`` checks Y and the image P(D)Y conjugation-symmetric
+    ``real_image`` checks Y and the image P(D)Y conjugation-symmetric
     (ConjugateSymmetryError otherwise), and the image is compared with g as
     values: both are canonical vectors, so equality is structural and no
     real term is built.
     """
-    image = _real_image(P, Y)
+    image = real_image(P, Y)
     if image == g:
         return EXACT
     return Verdict("residual", image - g)
@@ -65,10 +65,13 @@ def check_particular(P: OperatorPoly, g: RealExpr, Y: RealExpr) -> Verdict:
 def check_kernel(P: OperatorPoly, basis: KernelBasis) -> Verdict:
     """Exact iff the basis has degree(P) elements and P kills each one."""
     if len(basis) != P.degree:
-        detail = f"basis has {len(basis)} elements but the operator has degree {P.degree}"
-        return Verdict("residual", None, detail)
+        return Verdict(
+            "residual",
+            None,
+            f"basis has {len(basis)} elements but the operator has degree {P.degree}",
+        )
     for label, element in zip(basis.labels, basis.elements):
-        image = _real_image(P, element)
+        image = real_image(P, element)
         if not image.is_zero():
             return Verdict("residual", image, f"{label} is not annihilated")
     return EXACT

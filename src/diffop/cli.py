@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .checks import _real_image, check_particular
+from .checks import check_particular, real_image
 from .expressions import InternalInvariantError, RealExpr
 from .factor import UnfactorableOverGaussianRationals, factor_exact
 from .operators import OperatorPoly
@@ -209,7 +209,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_apply(args) -> int:
     parsed = _parse_operator_arg(args)
     fn = parse_rhs(args.fn)
-    result = _real_image(parsed.poly, fn)
+    result = real_image(parsed.poly, fn)
     out = _render_expr(result, args.format)
     print(json.dumps(out, indent=2) if args.format == "json" else out)
     return EXIT_OK

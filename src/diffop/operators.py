@@ -218,9 +218,8 @@ class OperatorPoly:
             R_n = A_n W,   R_j = s R_(j+1)' + (p + qi) R_(j+1) + s^(n-j) A_j W
 
         and r_0 = R_0 / (da du s^n).  Each step is one comprehension per part,
-        without the terms that are zero: Im A_j for a real A_j, p R when p = 0,
-        and A_j W when also A_j = 0.  The result is reduced once per frequency,
-        and no step goes through ``shift``.
+        with s R' folded in.  The result is reduced once per frequency, and no
+        step goes through ``shift``.
         """
         da, are, aim = self._v
         n = len(are) - 1
@@ -247,18 +246,8 @@ class OperatorPoly:
                     a, b = are[j] * spow, aim[j] * spow
                     r = zip(rre, rim, ure, uim, sk, rre[1:] + [0])
                     i = zip(rre, rim, ure, uim, sk, rim[1:] + [0])
-                    if b:  # a complex coefficient: every term
-                        rre = [p * x - q * y + a * u - b * v + c * z for x, y, u, v, c, z in r]
-                        rim = [p * y + q * x + a * v + b * u + c * z for x, y, u, v, c, z in i]
-                    elif p:  # a real coefficient
-                        rre = [p * x - q * y + a * u + c * z for x, y, u, v, c, z in r]
-                        rim = [p * y + q * x + a * v + c * z for x, y, u, v, c, z in i]
-                    elif a:  # a real coefficient, lam = qi/s
-                        rre = [c * z - q * y + a * u for x, y, u, v, c, z in r]
-                        rim = [c * z + q * x + a * v for x, y, u, v, c, z in i]
-                    else:  # a_j = 0, lam = qi/s
-                        rre = [c * z - q * y for x, y, u, v, c, z in r]
-                        rim = [c * z + q * x for x, y, u, v, c, z in i]
+                    rre = [p * x - q * y + a * u - b * v + c * z for x, y, u, v, c, z in r]
+                    rim = [p * y + q * x + a * v + b * u + c * z for x, y, u, v, c, z in i]
             v = _reduced(da * du * spow, rre, rim)
             if v is not None:
                 freqs[lam] = v

@@ -133,14 +133,17 @@ def solve_particular(P: OperatorPoly, g: RealExpr) -> Tuple[RealExpr, SolveTrace
 
     For a real P the step at a - bi, b > 0, is the conjugate of the step at
     a + bi, so only frequencies with b >= 0 are solved and the rest mirrored.
-    Raises ValueError on the zero operator.  A ConjugateSymmetryError out of
-    the final fold means an internal bug, never bad input.
+    Raises ValueError on the zero operator.  A ConjugateSymmetryError, from
+    g's symmetry check before mirroring or from the final fold, means an
+    internal bug, never bad input.
     """
     if P.is_zero():
         raise ValueError("cannot solve against the zero operator")
     gc = g.to_complex()
     keys = _ordered(gc.freqs)
     mirror = P.is_real()
+    if mirror:
+        gc.to_real()  # every mirrored key has its partner in g
     solved = {}
     for key in keys:
         if mirror and key[2] < 0:

@@ -308,9 +308,9 @@ def test_apply_at_frequency_zero_matches_references():
 
 
 def test_apply_off_frequency_zero_matches_references():
-    """Each form of the Horner step (a complex coefficient, p != 0, p = 0, and
-    p = 0 with a zero coefficient), at s = 1 and s > 1 and on real, imaginary
-    and complex u, equals repeated differentiation and the full recurrence."""
+    """The Horner step on complex and real coefficients, zero coefficients,
+    p = 0 and q = 0, at s = 1 and s > 1 and on real, imaginary and complex u,
+    equals repeated differentiation and the full recurrence."""
     rng = random.Random(71)
     for case in range(60):
         s = rng.choice((1, 1, 2, 3))

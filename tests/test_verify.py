@@ -81,6 +81,15 @@ def test_non_symmetric_answer_is_an_internal_error():
         check_particular(P, g, RealExpr._of(ComplexExpr._of(real_part)))
 
 
+def test_non_symmetric_rhs_is_an_internal_error():
+    # the solver mirrors the b < 0 half of a real problem from the b > 0 half,
+    # so a b < 0 half that is missing or not the mirror must stop it
+    P = (D - 1) * (D**2 + 4)
+    for freqs in _broken_mirrors(parse_rhs("x*sin(2*x) + exp(x)*cos(x)")):
+        with pytest.raises(ConjugateSymmetryError):
+            solve_particular(P, RealExpr._of(ComplexExpr._of(freqs)))
+
+
 def test_constants_solve_first_derivative():
     assert check_particular(D, rexpr(), rexpr((7, 0, 0, 0, None))).is_exact
 
