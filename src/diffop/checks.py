@@ -2,9 +2,11 @@
 
 The primary check is exact: apply the operator to the candidate and compare
 with the right-hand side in canonical form, where equality is structural.
-A numeric spot check runs beside it as a defense against a systematically
-wrong canonical form, evaluating the two sides through different code paths
-(complex exponentials via cmath against real trig terms via math).
+The numeric spot check is a defense against a systematically wrong
+canonical form, evaluating the two sides through different code paths
+(complex exponentials via cmath against real trig terms via math).  No CLI
+command calls it; the tests and ``scripts/worked_examples.py`` run it
+beside the exact check.
 """
 
 from __future__ import annotations

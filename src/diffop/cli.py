@@ -275,13 +275,10 @@ def _cmd_batch(args) -> int:
     return EXIT_OK
 
 
-def _add_operator_args(sub, with_coeffs: bool = True):
+def _add_operator_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--op", help="operator polynomial in D, expanded or factored")
-    if with_coeffs:
-        group.add_argument(
-            "--coeffs", help="comma-separated rational coefficients, a_0 first"
-        )
+    group.add_argument("--coeffs", help="comma-separated rational coefficients, a_0 first")
 
 
 @functools.cache

@@ -36,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expressions import ORIGIN, ComplexExpr, RealExpr, _reduced
 from .factor import FactoredOperator, UnfactorableOverGaussianRationals
@@ -69,9 +69,8 @@ MAX_DIGITS = 4300
 MAX_BITS = 65_536
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number | ident | op | lparen | rparen
+class Token(NamedTuple):
+    kind: str  # number | ident | end, or the character of + - * / ^ ( )
     text: str
     start: int
     end: int
@@ -114,19 +113,12 @@ def _tokenize(src: str) -> list:
             tokens.append(Token("ident", src[i:j], i, j))
             i = j
             continue
-        if c in "+-*/^":
-            tokens.append(Token("op", c, i, i + 1))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(Token("lparen", c, i, i + 1))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(Token("rparen", c, i, i + 1))
+        if c in "+-*/^()":
+            tokens.append(Token(c, c, i, i + 1))
             i += 1
             continue
         raise ParseError(src, i, i + 1, f"unexpected character {c!r}")
+    tokens.append(Token("end", "", n, n))
     return tokens
 
 
@@ -144,8 +136,8 @@ class _Parser:
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -153,13 +145,10 @@ class _Parser:
         return tok
 
     @staticmethod
-    def describe(tok: Optional[Token]) -> str:
-        return f"'{tok.text}'" if tok is not None else "end of input"
+    def describe(tok: Token) -> str:
+        return "end of input" if tok.kind == "end" else f"'{tok.text}'"
 
-    def fail(self, tok: Optional[Token], message: str):
-        if tok is None:
-            at = len(self.src)
-            raise ParseError(self.src, at, at, message)
+    def fail(self, tok: Token, message: str):
         raise ParseError(self.src, tok.start, tok.end, message)
 
     def fail_expected(self, expected: str):
@@ -167,8 +156,7 @@ class _Parser:
         self.fail(tok, f"expected {expected}, found {self.describe(tok)}")
 
     def expect_rparen(self) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "rparen":
+        if self.peek().kind != ")":
             self.fail_expected("')'")
         return self.advance()
 
@@ -183,7 +171,7 @@ class _Parser:
     def parse(self):
         value = self.expr()
         tok = self.peek()
-        if tok is not None:
+        if tok.kind != "end":
             self.fail(tok, f"expected an operator or end of input, found {self.describe(tok)}")
         return value
 
@@ -191,10 +179,10 @@ class _Parser:
         value = self.term()
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text in "+-":
+            if tok.kind in ("+", "-"):
                 self.advance()
                 rhs = self.term()
-                value = self.add(value, rhs) if tok.text == "+" else self.sub(value, rhs)
+                value = self.add(value, rhs) if tok.kind == "+" else self.sub(value, rhs)
             else:
                 return value
 
@@ -202,15 +190,13 @@ class _Parser:
         value = self.factor()
         while True:
             tok = self.peek()
-            if tok is None:
-                return value
-            if tok.kind == "op" and tok.text == "*":
+            if tok.kind == "*":
                 self.advance()
                 value = self.mul(value, self.factor(), tok)
-            elif tok.kind == "op" and tok.text == "/":
+            elif tok.kind == "/":
                 self.advance()
                 value = self.div(value, self.factor(), tok)
-            elif tok.kind in ("number", "ident", "lparen"):
+            elif tok.kind in ("number", "ident", "("):
                 # juxtaposition: same binding as '*'
                 value = self.mul(value, self.power(), tok)
             else:
@@ -218,25 +204,25 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text in "+-":
+        if tok.kind in ("+", "-"):
             self.advance()
             self.descend(tok)
             value = self.factor()
             self.depth -= 1
-            return self.neg(value) if tok.text == "-" else value
+            return self.neg(value) if tok.kind == "-" else value
         return self.power()
 
     def power(self):
         value = self.primary()
         tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
+        if tok.kind == "^":
             self.advance()
             return self.pow(value, self.integer_exponent(), tok)
         return value
 
     def integer_exponent(self) -> int:
         tok = self.peek()
-        if tok is None or tok.kind != "number":
+        if tok.kind != "number":
             self.fail_expected("a non-negative integer exponent")
         if "." in tok.text:
             self.fail(tok, "exponent must be a non-negative integer")
@@ -245,12 +231,10 @@ class _Parser:
 
     def primary(self):
         tok = self.peek()
-        if tok is None:
-            self.fail_expected(self.atom_set)
         if tok.kind == "number":
             self.advance()
             return self.const(_literal(tok.text))
-        if tok.kind == "lparen":
+        if tok.kind == "(":
             self.advance()
             self.descend(tok)
             value = self.expr()
@@ -385,8 +369,7 @@ class _RhsParser(_Parser):
         if tok.text == "x":
             return self.variable()
         if tok.text in _FUNCTIONS:
-            opening = self.peek()
-            if opening is None or opening.kind != "lparen":
+            if self.peek().kind != "(":
                 self.fail_expected(f"'(' after {tok.text}")
             self.advance()
             self.descend(tok)
@@ -396,8 +379,7 @@ class _RhsParser(_Parser):
             rate = self._linear_rate(arg, tok)
             return self._exponential(rate) if tok.text == "exp" else self._trig(tok.text, rate)
         if tok.text == "e":
-            caret = self.peek()
-            if caret is None or caret.kind != "op" or caret.text != "^":
+            if self.peek().kind != "^":
                 self.fail_expected("'^' after e")
             self.advance()
             self.descend(tok)

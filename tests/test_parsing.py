@@ -207,6 +207,14 @@ def test_negative_trig_rate_normalizes():
     assert parse_rhs("cos(-2*x)") == rexpr((1, 0, 0, 2, "cos"))
 
 
+def test_trig_at_zero_and_negative_rates():
+    # the two exponentials of sin/cos share a key at rate 0 and must be summed
+    assert parse_rhs("sin(0*x)") == parse_rhs("0")
+    assert parse_rhs("cos(0*x)") == parse_rhs("1")
+    assert parse_rhs("sin(-2*x)") == parse_rhs("-sin(2*x)")
+    assert parse_rhs("cos(-x)") == parse_rhs("cos(x)")
+
+
 def test_decimal_literals_are_exact():
     assert parse_rhs("0.25*x") == rexpr((F(1, 4), 1, 0, 0, None))
     assert parse_rhs("1.5") == rexpr((F(3, 2), 0, 0, 0, None))
@@ -280,6 +288,50 @@ def test_non_ascii_digits_are_unexpected_characters(capsys, monkeypatch, flag, s
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"problems": [problem]})))
     assert main(["batch"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == [{"status": "error", "error": message}]
+
+
+_OP_ATOMS = "expected a number, D, or '('"
+_RHS_ATOMS = "expected a number, x, sin, cos, exp, e, or '('"
+_NO_X = "the variable x cannot appear inside an operator"
+_NO_D = "the operator symbol D cannot appear in a function of x"
+
+# source: ((message, start, end) from parse_operator, the same from parse_rhs),
+# covering each rule of both grammars at end of input and at a wrong token
+_ERROR_PINS = {
+    "": ((f"{_OP_ATOMS}, found end of input", 0, 0), (f"{_RHS_ATOMS}, found end of input", 0, 0)),
+    "x^": ((_NO_X, 0, 1), ("expected a non-negative integer exponent, found end of input", 2, 2)),
+    "x^y": ((_NO_X, 0, 1), ("expected a non-negative integer exponent, found 'y'", 2, 3)),
+    "x^1.5": ((_NO_X, 0, 1), ("exponent must be a non-negative integer", 2, 5)),
+    "sin": (("sin cannot appear inside an operator", 0, 3), ("expected '(' after sin, found end of input", 3, 3)),
+    "sin x": (("sin cannot appear inside an operator", 0, 3), ("expected '(' after sin, found 'x'", 4, 5)),
+    "exp)": (("exp cannot appear inside an operator", 0, 3), ("expected '(' after exp, found ')'", 3, 4)),
+    "sin(x": (("sin cannot appear inside an operator", 0, 3), ("expected ')', found end of input", 5, 5)),
+    "e": (("e cannot appear inside an operator", 0, 1), ("expected '^' after e, found end of input", 1, 1)),
+    "e x": (("e cannot appear inside an operator", 0, 1), ("expected '^' after e, found 'x'", 2, 3)),
+    "e^": (("e cannot appear inside an operator", 0, 1), (f"{_RHS_ATOMS}, found end of input", 2, 2)),
+    "(x": ((_NO_X, 1, 2), ("expected ')', found end of input", 2, 2)),
+    "(x^2^3)": ((_NO_X, 1, 2), ("expected ')', found '^'", 4, 5)),
+    "x)": ((_NO_X, 0, 1), ("expected an operator or end of input, found ')'", 1, 2)),
+    "2*": ((f"{_OP_ATOMS}, found end of input", 2, 2), (f"{_RHS_ATOMS}, found end of input", 2, 2)),
+    "2*)": ((f"{_OP_ATOMS}, found ')'", 2, 3), (f"{_RHS_ATOMS}, found ')'", 2, 3)),
+    "-": ((f"{_OP_ATOMS}, found end of input", 1, 1), (f"{_RHS_ATOMS}, found end of input", 1, 1)),
+    "D^": (("expected a non-negative integer exponent, found end of input", 2, 2), (_NO_D, 0, 1)),
+    "D^D": (("expected a non-negative integer exponent, found 'D'", 2, 3), (_NO_D, 0, 1)),
+    "(D": (("expected ')', found end of input", 2, 2), (_NO_D, 1, 2)),
+    "(D^2^3)": (("expected ')', found '^'", 4, 5), (_NO_D, 1, 2)),
+    "D^2^3": (("expected an operator or end of input, found '^'", 3, 4), (_NO_D, 0, 1)),
+    "D x": ((_NO_X, 2, 3), (_NO_D, 0, 1)),
+    "1.": (("malformed decimal literal", 0, 2), ("malformed decimal literal", 0, 2)),
+    "D $": (("unexpected character '$'", 2, 3), ("unexpected character '$'", 2, 3)),
+}
+
+
+@pytest.mark.parametrize("src", _ERROR_PINS)
+def test_error_text_and_span_are_pinned(src):
+    for parse, pin in zip((parse_operator, parse_rhs), _ERROR_PINS[src]):
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert (info.value.message, info.value.start, info.value.end) == pin, (parse, src)
 
 
 def test_multiline_error_coordinates():
@@ -747,7 +799,7 @@ def _rand_monomial(rng):
 
 def test_monomial_powers_match_square_and_multiply():
     rng = random.Random(20261018)
-    tok = Token("op", "^", 0, 1)
+    tok = Token("^", "^", 0, 1)
     unreduced = 0
     for _ in range(600):
         u, n = _rand_monomial(rng), rng.randint(0, 40)
@@ -947,7 +999,8 @@ _FUZZ_TOKENS = (
 @seed(20261019)
 def test_fuzzed_sources_parse_or_exit_64(src):
     """Either parser returns a value or raises ParseError; when it raises,
-    main exits 64 with the error and a caret line, and raises nothing."""
+    its span lies in the source, an error at end of input is the empty span
+    there, and main exits 64 with the error and a caret line, raising nothing."""
     for parse, argv in (
         (parse_operator, ["solve", "--op", src, "--rhs", "x"]),
         (parse_rhs, ["solve", "--op", "D", "--rhs", src]),
@@ -955,6 +1008,9 @@ def test_fuzzed_sources_parse_or_exit_64(src):
         try:
             parse(src)
         except ParseError as exc:
+            assert 0 <= exc.start <= exc.end <= len(src), src
+            if "found end of input" in exc.message:
+                assert exc.start == exc.end == len(src), src
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == EXIT_USAGE, src
