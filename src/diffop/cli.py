@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .checks import check_particular, real_image
@@ -131,6 +132,28 @@ def _factored_of(parsed: ParsedOperator):
         raise _Failure(EXIT_UNFACTORABLE, f"operator is not factorable over Q(i): {exc}")
 
 
+def _dumps(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` of dicts, lists, str, int, bool and None,
+    without the pure-Python encoder that an indent selects; other types raise
+    TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, list):
+        items, ends = [_dumps(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
+
+
 def _render_expr(expr: RealExpr, fmt: str):
     if fmt == "latex":
         return render_latex(expr)
@@ -168,7 +191,7 @@ def _cmd_solve(args) -> int:
             payload["general"] = [
                 {"label": label, "element": text} for label, text in general
             ]
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return EXIT_OK
     answer = _render_expr(Y, args.format)
     if general:
@@ -199,7 +222,7 @@ def _cmd_kernel(args) -> int:
             "factored": render_factored(factored),
             "basis": [render_text(element) for element in basis.elements],
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return EXIT_OK
     for element in basis.elements:
         print(render_text(element) if args.format == "text" else render_latex(element))
@@ -211,7 +234,7 @@ def _cmd_apply(args) -> int:
     fn = parse_rhs(args.fn)
     result = real_image(parsed.poly, fn)
     out = _render_expr(result, args.format)
-    print(json.dumps(out, indent=2) if args.format == "json" else out)
+    print(_dumps(out) if args.format == "json" else out)
     return EXIT_OK
 
 
@@ -226,7 +249,7 @@ def _cmd_verify(args) -> int:
             out["residual"] = render_text(verdict.residual)
         if verdict.detail:
             out["detail"] = verdict.detail
-        print(json.dumps(out, indent=2))
+        print(_dumps(out))
     elif verdict.is_exact:
         print("exact")
     else:
@@ -271,7 +294,7 @@ def _cmd_batch(args) -> int:
             code, message = _failure(exc)
             status = "internal" if code == EXIT_INTERNAL else "error"
             results.append({"status": status, "error": message})
-    print(json.dumps(results, indent=2))
+    print(_dumps(results))
     return EXIT_OK
 
 

@@ -94,6 +94,36 @@ def _summed(u: tuple, v: tuple) -> tuple:
     return d, re, im
 
 
+def _total(signed) -> "ComplexExpr":
+    """The sum of sign * value over (sign, value) pairs, sign 1 or -1: per
+    frequency one common denominator, one integer vector and one ``_reduced``
+    however many terms there are, where a pairwise fold reduces every
+    partial sum."""
+    groups: dict = {}
+    for sign, value in signed:
+        for key, v in value.freqs.items():
+            groups.setdefault(key, []).append((sign, v))
+    freqs = {}
+    for key, vs in groups.items():
+        if len(vs) == 1:  # a frequency of one term: its vector, already reduced
+            sign, (d, re, im) = vs[0]
+            freqs[key] = (d, re, im) if sign > 0 else (d, [-x for x in re], [-y for y in im])
+            continue
+        d = math.lcm(*(v[0] for _, v in vs))
+        n = max(len(v[1]) for _, v in vs)
+        re, im = [0] * n, [0] * n
+        for sign, (dv, vr, vi) in vs:
+            m = sign * (d // dv)
+            for k, (x, y) in enumerate(zip(vr, vi)):
+                if x or y:
+                    re[k] += m * x
+                    im[k] += m * y
+        v = _reduced(d, re, im)
+        if v is not None:
+            freqs[key] = v
+    return ComplexExpr._of(freqs)
+
+
 def _convolved(a: list, b: list) -> list:
     """Coefficients of the product of two integer polynomials."""
     out = [0] * (len(a) + len(b) - 1)
@@ -238,18 +268,10 @@ class ComplexExpr:
     # -- algebra --------------------------------------------------------
 
     def __add__(self, other: "ComplexExpr") -> "ComplexExpr":
-        freqs = dict(self.freqs)
-        for key, v in other.freqs.items():
-            if key in freqs:
-                v = _reduced(*_summed(freqs[key], v))
-                if v is None:
-                    del freqs[key]
-                    continue
-            freqs[key] = v
-        return ComplexExpr._of(freqs)
+        return _total(((1, self), (1, other)))
 
     def __sub__(self, other: "ComplexExpr") -> "ComplexExpr":
-        return self + (-other)
+        return _total(((1, self), (-1, other)))
 
     def __neg__(self) -> "ComplexExpr":
         return ComplexExpr._of({

@@ -24,7 +24,11 @@ wraps that vector of the finished value as it is.  A term costs what its
 value costs: a power of a single term (a + bi)/d * x^j * e^(lam x) is formed
 in closed form after the same limits are checked, a product by a number
 scales the other factor's vector, and only sums of terms are raised by
-square-and-multiply.
+square-and-multiply.  A sum is formed once, from all of its signed terms,
+over one common denominator per frequency (``expressions._total``).  Within
+one parse, each distinct exp(...), sin(...) or cos(...) of a right-hand side
+whose argument has no parentheses is formed once: a repeat at the same depth
+skips to its ')' and reuses the value.
 
 An operator that is a product of powers of bases of degree <= 2 keeps its
 bases (a number is a base of degree 0, a minus sign the base -1).
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .expressions import ORIGIN, ComplexExpr, RealExpr, _reduced
+from .expressions import ORIGIN, ComplexExpr, RealExpr, _reduced, _total
 from .factor import FactoredOperator, UnfactorableOverGaussianRationals
 # the benchmark's span "parsing.factor_exact" looks the function up here
 from .factor import factor_exact  # noqa: F401
@@ -177,14 +181,13 @@ class _Parser:
 
     def expr(self):
         value = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind in ("+", "-"):
-                self.advance()
-                rhs = self.term()
-                value = self.add(value, rhs) if tok.kind == "+" else self.sub(value, rhs)
-            else:
-                return value
+        if self.peek().kind not in ("+", "-"):
+            return value
+        signed = [(1, value)]
+        while self.peek().kind in ("+", "-"):
+            sign = 1 if self.advance().kind == "+" else -1
+            signed.append((sign, self.term()))
+        return self.total(signed)
 
     def term(self):
         value = self.factor()
@@ -248,11 +251,8 @@ class _Parser:
 
     # -- value algebra on ComplexExpr, with the size limits -------------
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
+    def total(self, signed):
+        return _total(signed)
 
     def neg(self, a):
         return -a
@@ -350,6 +350,13 @@ def _bits(value: ComplexExpr) -> int:
 class _RhsParser(_Parser):
     atom_set = "a number, x, sin, cos, exp, e, or '('"
 
+    def __init__(self, src: str):
+        super().__init__(src)
+        # (name, argument text, depth) -> (value, tokens through its ')') of
+        # each exp/sin/cos read so far in this parse whose argument has no
+        # parentheses; the same text at the same depth parses alike
+        self.atoms = {}
+
     def const(self, q):
         return _constant(q)
 
@@ -373,11 +380,25 @@ class _RhsParser(_Parser):
                 self.fail_expected(f"'(' after {tok.text}")
             self.advance()
             self.descend(tok)
-            arg = self.expr()
-            self.expect_rparen()
+            # an argument without parentheses ends at the first ')' after it
+            start = self.tokens[self.pos - 1].end
+            end = self.src.find(")", start)
+            text = self.src[start:end]
+            key = (tok.text, text, self.depth) if end >= 0 and "(" not in text else None
+            known = self.atoms.get(key)
+            if known is None:
+                first = self.pos
+                arg = self.expr()
+                self.expect_rparen()
+                rate = self._linear_rate(arg, tok)
+                value = self._exponential(rate) if tok.text == "exp" else self._trig(tok.text, rate)
+                if key:
+                    self.atoms[key] = value, self.pos - first
+            else:
+                value, read = known
+                self.pos += read
             self.depth -= 1
-            rate = self._linear_rate(arg, tok)
-            return self._exponential(rate) if tok.text == "exp" else self._trig(tok.text, rate)
+            return value
         if tok.text == "e":
             if self.peek().kind != "^":
                 self.fail_expected("'^' after e")
@@ -467,11 +488,8 @@ class _OperatorParser(_Parser):
             self.fail(tok, f"{tok.text} cannot appear inside an operator")
         self.fail(tok, f"unknown name {tok.text!r}")
 
-    def add(self, a, b):
-        return _OpVal.wrap(a.poly + b.poly)
-
-    def sub(self, a, b):
-        return _OpVal.wrap(a.poly - b.poly)
+    def total(self, signed):
+        return _OpVal.wrap(_total([(sign, value.poly) for sign, value in signed]))
 
     def neg(self, a):
         return _OpVal(-a.poly, None if a.parts is None else a.parts + ((_MINUS_ONE, 1),))

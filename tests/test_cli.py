@@ -9,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import diffop.cli
 import diffop.solve
@@ -19,6 +21,7 @@ from diffop.cli import (
     EXIT_RESIDUAL,
     EXIT_UNFACTORABLE,
     EXIT_USAGE,
+    _dumps,
     main,
 )
 
@@ -636,3 +639,32 @@ def test_large_answers_keep_their_bytes(capsys, op, rhs, fmt, digest):
     code, out, err = run(capsys, "solve", "--op", op, "--rhs", rhs, "--format", fmt)
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- the JSON writer ----------------------------------------------------------
+
+_JSON_TEXT = st.text(max_size=8) | st.text(alphabet="\x00\x1f\x7f\"\\/ a\u00e9\u2028\U0001f600", max_size=8)
+_HUGE_INTS = st.integers(4301, 4400).map(lambda n: 7 * (10**n - 1) // 9) | st.integers(4301, 4400).map(lambda n: -(10**n))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _HUGE_INTS | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=150, database=None, deadline=None)
+@seed(20261020)
+def test_json_writer_matches_json_dumps_with_indent(value):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _dumps(value) == json.dumps(value, indent=2)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: 2}, [b"x"], {"a": {"b": object()}}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _dumps(value)

@@ -16,10 +16,10 @@ from diffop import (
     RealTerm,
     gauss,
 )
-from diffop.expressions import _product
-from genutil import cexpr, rand_fraction, rand_gauss, rexpr
+from diffop.expressions import _product, _total
+from genutil import cexpr, rand_complex_expr, rand_fraction, rand_gauss, rexpr
 from termref import RealRef, TermSum
-from vecref import product_ref
+from vecref import product_ref, sum_ref
 
 fractions = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 gaussians = st.builds(gauss, fractions, fractions)
@@ -410,3 +410,31 @@ def test_scalar_products_match_four_convolutions():
     for _ in range(100):  # the general path, for contrast
         u, v = _rand_vector(rng, rng.randint(2, 6)), _rand_vector(rng, rng.randint(2, 6))
         assert _product(u, v) == product_ref(u, v), (u, v)
+
+
+# --- one-pass sums ----------------------------------------------------------
+
+
+def test_total_equals_a_fold_of_plus_and_minus():
+    rng = random.Random(2021)
+    cancelled = 0
+    for _ in range(300):
+        values = [rand_complex_expr(rng, max_terms=4, max_k=5, height=6) for _ in range(rng.randint(1, 6))]
+        signed = [(rng.choice((1, -1)), v) for v in values]
+        if rng.random() < 0.3:  # repeats, some of them cancelling earlier terms
+            signed += [(rng.choice((1, -1)), v) for _, v in rng.sample(signed, rng.randint(1, len(signed)))]
+        got = _total(signed)
+        assert got.freqs == sum_ref([(sign, v.freqs) for sign, v in signed])
+        a, b = values[0], values[-1]
+        assert (a + b).freqs == sum_ref([(1, a.freqs), (1, b.freqs)])
+        assert (a - b).freqs == sum_ref([(1, a.freqs), (-1, b.freqs)])
+        cancelled += not got.freqs
+    assert cancelled > 0
+
+
+def test_total_of_cancelling_terms_is_empty():
+    f = cexpr((Fraction(2, 3), 1, 1), (gauss(1, -2), 0, gauss(0, 3)), (Fraction(5, 7), 4, 0))
+    g = cexpr((Fraction(-1, 6), 2, 1))
+    assert _total([(1, f), (-1, g), (1, g), (-1, f)]).freqs == {}
+    assert _total([(1, f), (1, -f)]).freqs == {}
+    assert _total([(-1, f)]) == -f

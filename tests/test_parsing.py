@@ -548,11 +548,11 @@ class _ReferenceRhs(_RhsParser):
     def variable(self):
         return _REF_X
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
+    def total(self, signed):
+        value = _const_expr(F(0))
+        for sign, term in signed:
+            value = value + term if sign > 0 else value - term
+        return value
 
     def neg(self, a):
         return a.scale(gauss(-1))
@@ -622,11 +622,11 @@ class _ReferenceOperator(_OperatorParser):
     def variable(self):
         return _RefOpVal(D, F(1), ((D, 1),))
 
-    def add(self, a, b):
-        return _RefOpVal.wrap(a.poly + b.poly)
-
-    def sub(self, a, b):
-        return _RefOpVal.wrap(a.poly - b.poly)
+    def total(self, signed):
+        poly = OperatorPoly(())
+        for sign, term in signed:
+            poly = poly + term.poly if sign > 0 else poly - term.poly
+        return _RefOpVal.wrap(poly)
 
     def neg(self, a):
         if a.parts is None:
@@ -775,6 +775,104 @@ def test_parser_power_cliffs_stay_fast():
         t0 = time.perf_counter()
         parse(src)
         assert time.perf_counter() - t0 < 0.5, src
+
+
+# --- one-pass sums and function atoms read once ---------------------------
+
+
+class _Forgetful(dict):
+    """An atom memo that keeps nothing, so every function atom is parsed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _unmemoized_rhs(src):
+    parser = _RhsParser(src)
+    parser.atoms = _Forgetful()
+    return parser.parse().to_real()
+
+
+_SUM_COEFFS = ("3", "2/3", "5/4", "0.5", "7", "1", "(-3/7)")
+_SUM_RATES = ("x", "2*x", "-3/2*x", "x/3", "2/3*x", "0*x", "-x", "(-1/3)*x", "(-1/3)*2*x")
+
+
+def _expanded_sum(rng):
+    """Signed terms coeff * x^k * atoms, some repeated with either sign, and
+    now and then every term again with the opposite sign."""
+    terms = []
+    for _ in range(rng.randint(1, 8)):
+        if terms and rng.random() < 0.2:
+            sign, text = rng.choice(terms)
+            terms.append((rng.choice((sign, -sign)), text))
+            continue
+        parts = [rng.choice(_SUM_COEFFS)]
+        k = rng.randint(0, 3)
+        if k:
+            parts.append(f"x^{k}")
+        for _ in range(rng.randint(0, 2)):
+            atom = f"{rng.choice(('exp', 'sin', 'cos'))}({rng.choice(_SUM_RATES)})"
+            parts.append(f"({atom})" if rng.random() < 0.2 else atom)
+        text = "*".join(parts)
+        terms.append((rng.choice((1, -1)), f"({text})" if rng.random() < 0.2 else text))
+    if rng.random() < 0.1:  # then take every term back off, in another order
+        terms += [(-sign, text) for sign, text in rng.sample(terms, len(terms))]
+    return terms
+
+
+def test_expanded_sums_equal_the_pairwise_fold():
+    rng = random.Random(20261020)
+    zeros = repeats = 0
+    for _ in range(300):
+        terms = _expanded_sum(rng)
+        src = ("-" if terms[0][0] < 0 else "") + terms[0][1]
+        src += "".join(f" {'+' if sign > 0 else '-'} {text}" for sign, text in terms[1:])
+        folded = ComplexExpr()
+        for sign, text in terms:
+            value = _RhsParser(text).parse()
+            folded = folded + value if sign > 0 else folded - value
+        got = parse_rhs(src)
+        assert got == folded.to_real(), src
+        assert got == _reference_rhs(src) == _unmemoized_rhs(src), src
+        zeros += got.is_zero()
+        atoms = [part for _, text in terms for part in text.split("*") if "(" in part]
+        repeats += len(atoms) > len(set(atoms))
+    assert zeros > 20 and repeats > 100
+
+
+def test_a_repeated_atom_keeps_the_depth_rule(capsys):
+    # the atom nests MAX_DEPTH levels; one more parenthesis makes its repeat too deep
+    atom = "sin(" + "-" * (MAX_DEPTH - 1) + "x)"
+    assert parse_rhs(atom) == parse_rhs("-sin(x)")
+    src = f"{atom} + ({atom})"
+    at = len(atom) + len(" + (sin(") + MAX_DEPTH - 2
+    with pytest.raises(ParseError, match=f"^1:{at + 1}: nesting deeper than {MAX_DEPTH} levels$") as info:
+        parse_rhs(src)
+    assert (info.value.start, info.value.end) == (at, at + 1) and src[at] == "-"
+    assert _outcome(parse_rhs, src) == _outcome(_unmemoized_rhs, src)
+    assert main(["solve", "--op", "D-2", "--rhs", src]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {info.value}\n")
+
+
+@pytest.mark.parametrize("src", ["sin(2*x) + sin(2*x ", "exp(x)*exp(x", "cos(x) - cos(x\n", "sin(x)+sin(x+"])
+def test_a_repeat_without_its_parenthesis_is_refused(src):
+    got = _outcome(parse_rhs, src)
+    assert isinstance(got, tuple) and got == _outcome(_unmemoized_rhs, src)
+
+
+def test_parses_share_no_memo(monkeypatch):
+    rates = []
+    linear_rate = _RhsParser._linear_rate
+
+    def counted(self, arg, tok):
+        rates.append(tok.text)
+        return linear_rate(self, arg, tok)
+
+    monkeypatch.setattr(_RhsParser, "_linear_rate", counted)
+    src = "sin(x) - 2*x*sin(x) + (sin(x))"
+    assert parse_rhs(src) == parse_rhs(src)
+    # once per parse at depth 1, once per parse inside the parentheses
+    assert rates == ["sin"] * 4
 
 
 # --- closed-form powers of single terms -----------------------------------

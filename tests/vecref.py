@@ -7,7 +7,9 @@ pair of vectors before a one-entry factor was taken as a scalar: over
 du * dv, not reduced.  ``power_ref`` raises the frequency map of a
 ``ComplexExpr`` by square-and-multiply, as the parser did for every power
 before single terms were raised in closed form, multiplying frequency by
-frequency with ``product_ref`` and reducing each result.
+frequency with ``product_ref`` and reducing each result.  ``sum_ref`` adds
+frequency maps one at a time, reducing every partial sum, as ``+`` did
+before a sum was formed in one pass.
 
 Nothing here calls diffop's vector helpers, so tests can hold the two
 against each other vector by vector.
@@ -50,6 +52,21 @@ def _reduced(d: int, re: list, im: list):
         return None
     g = math.gcd(d, *re, *im)
     return d // g, [x // g for x in re], [y // g for y in im]
+
+
+def sum_ref(signed) -> dict:
+    """The frequency map of the sum of sign * u over (sign, frequency map of u)."""
+    out: dict = {}
+    for sign, freqs in signed:
+        for key, (d, re, im) in freqs.items():
+            v = (d, [sign * x for x in re], [sign * y for y in im])
+            if key in out:
+                v = _reduced(*_sum(out[key], v))
+                if v is None:
+                    del out[key]
+                    continue
+            out[key] = v
+    return out
 
 
 def _key_sum(lam: tuple, mu: tuple) -> tuple:
