@@ -4,7 +4,9 @@
 factors and irreducible quadratics (D-a)^2 + b^2 with rational a and b,
 by modular roots rather than a search (von zur Gathen and Gerhard, Modern
 Computer Algebra, ch. 5, 14, 15).  It takes the square-free part g of the
-integer polynomial and finds its roots modulo the least prime p = 1 mod 4
+integer polynomial f (f itself when gcd(f, f') = 1 modulo the least prime
+p = 1 mod 4 that spares its leading coefficient, else by a remainder
+sequence over Z) and finds its roots modulo the least prime p = 1 mod 4
 that keeps g square-free (so that i exists mod p): by evaluating g at every
 residue while p * deg g is small, else as gcd(g, x^p - x) split by
 equal-degree splitting.  It Newton-lifts them, each with the inverse of g'
@@ -183,14 +185,31 @@ def _primitive(a: list) -> list:
     return [x // content for x in a]
 
 
-def _squarefree_part(f: list) -> list:
-    """f / gcd(f, f') for a primitive f, the gcd by the primitive remainder sequence."""
+def _squarefree_part(f: list) -> tuple:
+    """(g, p): g = f / gcd(f, f') for a primitive f, and the least prime
+    p = 1 mod 4 that spares lc(g) and keeps g square-free mod p.
+
+    If gcd(f, f') = 1 mod the least such p that spares lc(f), f is square-free
+    over Q (a repeated factor of f keeps its degree mod p, as p spares its
+    leading coefficient, and would divide f and f' there), so g = f.  Else the
+    gcd is taken by the primitive remainder sequence over Z, whose
+    coefficients swell with a tall lc.
+    """
+    p = next(p for p in _primes_1_mod_4() if f[-1] % p)
+    if _separable(f, p):
+        return f, p
     a, b = f, _primitive(_derivative(f))
     while b:
         a, b = b, _pseudo_remainder(a, b)
         if b:
             b = _primitive(b)
-    return _exact_quotient(f, a)
+    g = _exact_quotient(f, a)
+    return g, next(p for p in _primes_1_mod_4() if g[-1] % p and _separable(g, p))
+
+
+def _separable(g: list, p: int) -> bool:
+    """Whether gcd(g, g') = 1 mod p, for p not dividing lc(g)."""
+    return len(_mod_gcd(g, _derivative(g), p)) == 1
 
 
 # Polynomials over GF(p) are integer lists, low to high; results come reduced and trimmed.
@@ -306,10 +325,11 @@ def _symmetric(x: int, m: int) -> int:
     return x - m if x > m // 2 else x
 
 
-def _gaussian_divisors(g: list) -> list:
+def _gaussian_divisors(g: list, p: int) -> list:
     """The primitive divisors of the square-free integer polynomial g with roots
-    in Q(i): b*D - a for each rational root a/b, by (|a|, b, + before -), then
-    e*D^2 + u*D + v for each pair of conjugate roots, by (e, v, u).
+    in Q(i), found mod the prime p of ``_squarefree_part``: b*D - a for each
+    rational root a/b, by (|a|, b, + before -), then e*D^2 + u*D + v for each
+    pair of conjugate roots, by (e, v, u).
 
     A root a/b has |a| <= |g(0)| and b | lc, and a pair has v <= |g(0)|, e | lc
     and |u| < 2*sqrt(e*v).  So once m > 2*N^2, the residues mod m of lc*r for a
@@ -318,8 +338,6 @@ def _gaussian_divisors(g: list) -> list:
     to divide lc.  Candidates are kept only if they divide g exactly.
     """
     lc, a0 = abs(g[-1]), abs(g[0])
-    # the least p = 1 mod 4 that spares lc and keeps g square-free: gcd(g, g') = 1 mod p
-    p = next(p for p in _primes_1_mod_4() if lc % p and len(_mod_gcd(g, _derivative(g), p)) == 1)
     n = max(a0, lc, 2 * math.isqrt(lc * a0) + 2)
     roots, m = _lifted(g, _mod_roots(g, p), p, 2 * n * n)
     linear, rest = [], []
@@ -362,7 +380,7 @@ def factor_exact(P: OperatorPoly) -> FactoredOperator:
     k = next(j for j, c in enumerate(f) if c)
     bases = [(D, k)] if k else []
     f = f[k:]
-    for d in _gaussian_divisors(_squarefree_part(f)) if len(f) > 1 else ():
+    for d in _gaussian_divisors(*_squarefree_part(f)) if len(f) > 1 else ():
         mult = 0
         while (quotient := _exact_quotient(f, d)) is not None:
             f, mult = quotient, mult + 1

@@ -24,7 +24,11 @@ wraps that vector of the finished value as it is.  A term costs what its
 value costs: a power of a single term (a + bi)/d * x^j * e^(lam x) is formed
 in closed form after the same limits are checked, a product by a number
 scales the other factor's vector, and only sums of terms are raised by
-square-and-multiply.  A sum is formed once, from all of its signed terms,
+square-and-multiply.  In a right-hand side, a factor x or x^n written
+directly in a term is not formed: the term carries its power of x as an
+integer shift, multiplies its other factors on their short vectors, checks
+each limit as if the shift had been formed, and prepends that many zeros to
+each vector once at the end.  A sum is formed once, from all of its signed terms,
 over one common denominator per frequency (``expressions._total``).  Within
 one parse, each distinct exp(...), sin(...) or cos(...) of a right-hand side
 whose argument has no parentheses is formed once: a repeat at the same depth
@@ -190,20 +194,49 @@ class _Parser:
         return self.total(signed)
 
     def term(self):
-        value = self.factor()
+        """A product of factors.  Where ``is_variable`` says so, a factor x^n is
+        not formed: the term keeps the power of x it has read as ``shift`` and
+        multiplies the rest, then places the shift once at the end.  A zero
+        product has degree 0, so its shift drops to 0."""
+        shift = 0
+        if self.is_variable(self.peek()):
+            value, shift = _ONE, self.variable_power()
+        else:
+            value = self.factor()
         while True:
+            if shift and not value.freqs:
+                shift = 0
             tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
-                value = self.mul(value, self.factor(), tok)
-            elif tok.kind == "/":
+            if tok.kind == "/":
                 self.advance()
                 value = self.div(value, self.factor(), tok)
-            elif tok.kind in ("number", "ident", "("):
-                # juxtaposition: same binding as '*'
-                value = self.mul(value, self.power(), tok)
-            else:
-                return value
+                continue
+            if tok.kind == "*":
+                self.advance()
+            elif tok.kind not in ("number", "ident", "("):  # else juxtaposition: same binding as '*'
+                return _shifted(value, shift) if shift else value
+            if self.is_variable(self.peek()):
+                n = self.variable_power()
+                self.admit(value, shift, tok, n, 1, 1)  # x^n: one frequency, one bit
+                shift += n
+                continue
+            factor = self.factor() if tok.kind == "*" else self.power()
+            # only a grammar whose mul is product reads a shift
+            value = self.product(value, factor, tok, shift) if shift else self.mul(value, factor, tok)
+
+    def is_variable(self, tok: Token) -> bool:
+        """Whether tok begins a factor that ``term`` may keep as a shift.  An
+        operator keeps every factor: its parts record the written order."""
+        return False
+
+    def variable_power(self) -> int:
+        """Read x or x^n and return its power."""
+        self.advance()
+        tok = self.peek()
+        if tok.kind != "^":
+            return 1
+        self.advance()
+        return self.capped(self.integer_exponent(), tok)
 
     def factor(self):
         tok = self.peek()
@@ -257,22 +290,35 @@ class _Parser:
     def neg(self, a):
         return -a
 
-    def product(self, u: ComplexExpr, v: ComplexExpr, tok: Token) -> ComplexExpr:
-        """u * v, refused at tok before it is formed when its factors hold more
-        than MAX_BITS bits together, or when ``formed`` refuses it."""
-        self.bounded(_bits(u) + _bits(v), tok)
-        return self.formed(u, v, tok)
+    def product(self, u: ComplexExpr, v: ComplexExpr, tok: Token, shift: int = 0) -> ComplexExpr:
+        """u * v, refused at tok as ``admit`` refuses u * x^shift times v."""
+        self.admit(u, shift, tok, _degree(v), len(v.freqs), _bits(v))
+        return u * v
 
     def formed(self, u: ComplexExpr, v: ComplexExpr, tok: Token) -> ComplexExpr:
-        """u * v, refused at tok past MAX_DEGREE, or before it is formed when its
-        pairs of frequencies could hold more than MAX_COEFFICIENTS coefficients."""
-        degree = _degree(u) + _degree(v)
+        """u * v, refused at tok as ``admit`` refuses it, its bits unchecked."""
+        self.admit(u, 0, tok, _degree(v), len(v.freqs))
+        return u * v
+
+    def admit(self, u: ComplexExpr, shift: int, tok: Token, degree: int, count: int, bits=None) -> None:
+        """Refuse at tok, before it is formed, the product of u * x^shift by a
+        factor of this degree with count frequencies: when the two hold more
+        than MAX_BITS bits together (if the factor's bits are given), past
+        MAX_DEGREE, or when its pairs of frequencies could hold more than
+        MAX_COEFFICIENTS coefficients.  x^shift adds no bits."""
+        if bits is not None:
+            self.bounded(_bits(u) + bits, tok)
+        degree += _degree(u) + shift
         if degree > MAX_DEGREE:
             self.fail(tok, f"degree {degree} is over the limit of {MAX_DEGREE}")
-        size = len(u.freqs) * len(v.freqs) * (degree + 1)
+        size = len(u.freqs) * count * (degree + 1)
         if size > MAX_COEFFICIENTS:
             self.fail(tok, f"product of {size} coefficients is over the limit of {MAX_COEFFICIENTS}")
-        return u * v
+
+    def capped(self, n: int, tok: Token) -> int:
+        if n > MAX_DEGREE:
+            self.fail(tok, f"exponent {n} is over the limit of {MAX_DEGREE}")
+        return n
 
     def raised(self, u: ComplexExpr, n: int, tok: Token) -> ComplexExpr:
         """u^n, refused up front past MAX_DEGREE or when n factors u would hold
@@ -280,8 +326,7 @@ class _Parser:
         raised in closed form, (a + bi)^n/d^n * x^(jn) * e^(n lam x); any
         other u by square-and-multiply, each product checked as in ``formed``
         (whose coefficient limit no monomial's squarings could reach)."""
-        if n > MAX_DEGREE:
-            self.fail(tok, f"exponent {n} is over the limit of {MAX_DEGREE}")
+        self.capped(n, tok)
         if n * _degree(u) > MAX_DEGREE:
             self.fail(tok, f"degree {n * _degree(u)} is over the limit of {MAX_DEGREE}")
         self.bounded(n * _bits(u), tok)
@@ -336,6 +381,12 @@ def _degree(value: ComplexExpr) -> int:
     return max((len(re) for _, re, _ in value.freqs.values()), default=1) - 1
 
 
+def _shifted(value: ComplexExpr, n: int) -> ComplexExpr:
+    """value * x^n: n zeros before each vector, whose content they leave alone."""
+    zeros = [0] * n
+    return ComplexExpr._of({key: (d, zeros + re, zeros + im) for key, (d, re, im) in value.freqs.items()})
+
+
 def _bits(value: ComplexExpr) -> int:
     """Bit length of the largest denominator or numerator part in value."""
     top = 0
@@ -362,6 +413,9 @@ class _RhsParser(_Parser):
 
     def variable(self):
         return _VARIABLE
+
+    def is_variable(self, tok):
+        return tok.text == "x"
 
     def div(self, a, b, tok):
         if not b.freqs:

@@ -1,6 +1,7 @@
 """Text grammars for operators and right-hand sides, and exact factorization."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -524,6 +525,48 @@ def test_a_leading_coefficient_that_forces_a_large_prime_is_split_not_evaluated(
     assert f.expand() == P
 
 
+@functools.cache
+def _tall_leading():
+    """The product of the primes = 1 mod 4 below 50,033, 35,671 bits."""
+    return math.prod(p for p in range(5, 50033, 4) if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+
+
+def _remainder_steps(monkeypatch):
+    steps = []
+    pseudo_remainder = diffop.factor._pseudo_remainder
+    monkeypatch.setattr(
+        diffop.factor, "_pseudo_remainder", lambda a, b: steps.append(len(a)) or pseudo_remainder(a, b)
+    )
+    return steps
+
+
+def test_a_tall_square_free_operator_skips_the_remainder_sequence(monkeypatch):
+    """(L*D - 1)*(D - 1)*...*(D - 6): gcd(f, f') = 1 mod 50,033 shows f square-free."""
+    L = _tall_leading()
+    P = OperatorPoly((-1, L)) * math.prod((D - k for k in range(2, 7)), start=D - 1)
+    steps = _remainder_steps(monkeypatch)
+    t0 = time.perf_counter()
+    f = factor_exact(P)
+    assert time.perf_counter() - t0 < 5
+    assert steps == []
+    assert f.leading == L
+    assert f.factors == (Factor(1, 0, 1), Factor(F(1, L), 0, 1), *(Factor(k, 0, 1) for k in range(2, 7)))
+    assert f.expand() == P
+
+
+def test_a_tall_operator_with_a_repeated_root_takes_the_remainder_sequence(monkeypatch):
+    L = _tall_leading()
+    P = OperatorPoly((-1, L)) * (D - 1) ** 2 * (D - 2) * (D - 3)
+    steps = _remainder_steps(monkeypatch)
+    t0 = time.perf_counter()
+    f = factor_exact(P)
+    assert time.perf_counter() - t0 < 5
+    assert steps
+    assert f.leading == L
+    assert f.factors == (Factor(1, 0, 2), Factor(F(1, L), 0, 1), Factor(2, 0, 1), Factor(3, 0, 1))
+    assert f.expand() == P
+
+
 # --- parser values against the term-merge reference --------------------------
 
 
@@ -547,6 +590,9 @@ class _ReferenceRhs(_RhsParser):
 
     def variable(self):
         return _REF_X
+
+    def is_variable(self, tok):
+        return False  # x^n is formed as a value, in this algebra
 
     def total(self, signed):
         value = _const_expr(F(0))
@@ -873,6 +919,134 @@ def test_parses_share_no_memo(monkeypatch):
     assert parse_rhs(src) == parse_rhs(src)
     # once per parse at depth 1, once per parse inside the parentheses
     assert rates == ["sin"] * 4
+
+
+# --- a term's power of x carried as a shift ---------------------------------
+
+
+class _PaddedRhs(_RhsParser):
+    """The parser with every x^n formed as a vector and multiplied in, under
+    the same limits: what ``term`` reads when it keeps no shift."""
+
+    def is_variable(self, tok):
+        return False
+
+
+def _padded_rhs(src):
+    return _PaddedRhs(src).parse().to_real()
+
+
+_LIMIT_MESSAGES = ("is over the limit of", "-bit coefficients are over")
+# 2^a - 1 times 2^b - 1 has a + b bits, so these five make 65,536 bits exactly
+_TALL, _TALLER = str(2**9_536 - 1), str(2**14_000 - 1)
+_AT_MAX_BITS = "*".join([_TALLER] * 4 + [_TALL])
+
+
+@pytest.mark.parametrize("src", ["0*x^1000*x^1000", "x^1000*0*x^1000", "0x^1000x^1000", "0*x^999*(x+1)^2"])
+def test_a_zero_product_drops_its_shift(src):
+    assert parse_rhs(src).is_zero()
+    assert _outcome(parse_rhs, src) == _outcome(_padded_rhs, src)
+
+
+@pytest.mark.parametrize(
+    "src, start, end, message",
+    [
+        ("x^600*x^401", 5, 6, f"degree 1001 is over the limit of {MAX_DEGREE}"),
+        ("exp(x)*x^1000*x", 13, 14, f"degree 1001 is over the limit of {MAX_DEGREE}"),
+        ("x^1000*(x+1)", 6, 7, f"degree 1001 is over the limit of {MAX_DEGREE}"),
+        ("x^1001", 1, 2, f"exponent 1001 is over the limit of {MAX_DEGREE}"),
+        ("3/x", 1, 2, "can only divide by a nonzero rational constant"),
+        ("x^2^3", 3, 4, "expected an operator or end of input, found '^'"),
+        ("x^", 2, 2, "expected a non-negative integer exponent, found end of input"),
+        ("x^1.5", 2, 5, "exponent must be a non-negative integer"),
+        pytest.param("x^10 " * 101, 500, 501, f"degree 1010 is over the limit of {MAX_DEGREE}", id="x^10-101-times"),
+        pytest.param(
+            _AT_MAX_BITS + "*x", len(_AT_MAX_BITS), len(_AT_MAX_BITS) + 1,
+            f"{MAX_BITS + 1}-bit coefficients are over the limit of {MAX_BITS} bits",
+            id="x-past-MAX_BITS",
+        ),
+    ],
+)
+def test_a_shift_is_refused_where_its_product_was(src, start, end, message):
+    with pytest.raises(ParseError) as info:
+        parse_rhs(src)
+    assert (info.value.start, info.value.end, info.value.message) == (start, end, message)
+    assert _outcome(parse_rhs, src) == _outcome(_padded_rhs, src)
+
+
+def test_a_shift_counts_no_bits():
+    big = (2**14_000 - 1) ** 4 * (2**9_536 - 1)
+    assert big.bit_length() == MAX_BITS
+    for src, k in (("x*" + _AT_MAX_BITS, 1), (f"x^1000 {_AT_MAX_BITS}", MAX_DEGREE)):
+        assert parse_rhs(src) == rexpr((big, k, 0, 0, None))
+        assert _outcome(parse_rhs, src) == _outcome(_padded_rhs, src)
+
+
+_SHIFT_POWERS = ("x", "x", "x^2", "x^3", "x^0", "x^1", "x^7")
+_SHIFT_NEAR_LIMIT = ("x^499", "x^500", "x^501", "x^998", "x^999", "x^1000")
+_SHIFT_ATOMS = (
+    "3", "0", "(1-1)", "0.5", "(2/3)", "(-5/4)", "exp(2x)", "e^(2x)", "e^(x/2)", "exp(x^2)", "sin(-x/2)",
+    "cos(3*x)", "(x^2)^3", "(x+1)^2", "(2x^3x)", "(x^3/2)", "(3x^2 - x)", "-x", "-x^2", "(exp(x)+x)",
+)
+_SHIFT_DIVISORS = ("2", "3", "(2/3)", "0.5", "(-7)", "0", "x", "(x-x)")
+
+
+def _shift_source(rng):
+    """A sum of terms with x and x^n first, last, juxtaposed, before '/',
+    inside parentheses and powers, beside zero factors and near MAX_DEGREE."""
+
+    def factor():
+        r = rng.random()
+        if r < 0.4:
+            return rng.choice(_SHIFT_POWERS)
+        if r < 0.5:
+            return rng.choice(_SHIFT_NEAR_LIMIT)
+        return rng.choice(_SHIFT_ATOMS)
+
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        text = factor()
+        for _ in range(rng.randint(0, 4)):
+            join = rng.choice(("*", "*", " ", "/"))
+            following = rng.choice(_SHIFT_DIVISORS) if join == "/" else factor()
+            text += ("*" if join == " " and following[0] == "-" else join) + following
+        terms.append(f"({text})^{rng.randint(0, 2)}" if rng.random() < 0.1 else text)
+    return " ".join(f"{rng.choice('+-')} {text}" for text in terms)
+
+
+def test_shifted_terms_match_the_padded_parser_and_the_reference():
+    rng = random.Random(20261020)
+    outcomes = {"value": 0, "zero": 0, "limit": 0, "other": 0}
+    for _ in range(400):
+        src = _shift_source(rng)
+        got = _outcome(parse_rhs, src)
+        assert got == _outcome(_padded_rhs, src), src
+        limit = isinstance(got, tuple) and any(m in got[3] for m in _LIMIT_MESSAGES)
+        # the reference checks no limits, and takes x^n as n products
+        if not limit and not any(power in src for power in _SHIFT_NEAR_LIMIT):
+            assert got == _outcome(_reference_rhs, src), src
+        kind = "limit" if limit else "other" if isinstance(got, tuple) else "zero" if got.is_zero() else "value"
+        outcomes[kind] += 1
+    assert min(outcomes.values()) > 10, outcomes
+
+
+def test_expanded_terms_multiply_only_one_entry_vectors(monkeypatch):
+    lengths = []
+    product = diffop.expressions._product
+
+    def recorded(u, v):
+        lengths.append((len(u[1]), len(v[1])))
+        return product(u, v)
+
+    monkeypatch.setattr(diffop.expressions, "_product", recorded)
+    rng = random.Random(7)
+    src = " + ".join(
+        f"{rng.randint(1, 99)}/{rng.randint(1, 9)}*x^{k}*exp({rng.choice(('-3/2*x', 'x', '2*x'))})"
+        f"*sin({rng.choice(('3/2*x', 'x', '5*x'))})"
+        for k in range(101)
+    )
+    assert len(parse_rhs(src).terms) == 101
+    assert lengths and set(lengths) == {(1, 1)}
 
 
 # --- closed-form powers of single terms -----------------------------------
