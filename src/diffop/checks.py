@@ -12,21 +12,23 @@ beside the exact check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .expressions import ComplexExpr, RealExpr
 from .operators import OperatorPoly
+from .rationals import Record
 from .solve import KernelBasis
 
 STANDARD_POINTS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.3, -1.3, 2.7)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # "exact" or "residual"
-    residual: Optional[RealExpr] = None
-    detail: str = ""
+class Verdict(Record):
+    __slots__ = ("status", "residual", "detail")
+
+    def __init__(self, status: str, residual: Optional[RealExpr] = None, detail: str = ""):
+        object.__setattr__(self, "status", status)  # "exact" or "residual"
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def is_exact(self) -> bool:

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .checks import check_particular, real_image
@@ -132,26 +130,31 @@ def _factored_of(parsed: ParsedOperator):
         raise _Failure(EXIT_UNFACTORABLE, f"operator is not factorable over Q(i): {exc}")
 
 
-def _dumps(value, indent: str = "") -> str:
+def _dumps(value) -> str:
     """``json.dumps(value, indent=2)`` of dicts, lists, str, int, bool and None,
     without the pure-Python encoder that an indent selects; other types raise
-    TypeError."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items, ends = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()], "{}"
-    elif isinstance(value, list):
-        items, ends = [_dumps(v, inner) for v in value], "[]"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
+    TypeError.  ``json`` is imported here, so a text command never loads it."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def dump(value, indent: str) -> str:
+        if isinstance(value, str):
+            return quote(value)
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items, ends = [f"{quote(k)}: {dump(v, inner)}" for k, v in value.items()], "{}"
+        elif isinstance(value, list):
+            items, ends = [dump(v, inner) for v in value], "[]"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
+
+    return dump(value, "")
 
 
 def _render_expr(expr: RealExpr, fmt: str):
@@ -270,6 +273,8 @@ def _problem_shape_error(problem) -> Optional[str]:
 
 
 def _cmd_batch(args) -> int:
+    import json
+
     try:
         payload = json.load(sys.stdin)
         problems = payload["problems"]

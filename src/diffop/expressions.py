@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .rationals import ZERO, GaussianRational
+from .rationals import ZERO, GaussianRational, Record
 
 _F0 = Fraction(0)
 
@@ -200,13 +199,15 @@ def _collected(triples) -> dict:
     return freqs
 
 
-@dataclass(frozen=True)
-class ComplexTerm:
+class ComplexTerm(Record):
     """One monomial c * x^k * e^(lam*x)."""
 
-    coeff: GaussianRational
-    k: int
-    lam: GaussianRational
+    __slots__ = ("coeff", "k", "lam")
+
+    def __init__(self, coeff: GaussianRational, k: int, lam: GaussianRational):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
 
     def sort_key(self):
         return (self.lam.re, self.lam.im, self.k)
@@ -350,25 +351,22 @@ class ComplexExpr:
         return RealExpr._of(self)
 
 
-@dataclass(frozen=True)
-class RealTerm:
+class RealTerm(Record):
     """One real monomial c * x^k * e^(alpha*x) * {1, cos(beta*x), sin(beta*x)}.
 
     trig is None exactly when beta == 0.  beta is kept positive: the parser
     and the folding code normalize cos(-bx) = cos(bx), sin(-bx) = -sin(bx).
     """
 
-    coeff: Fraction
-    k: int
-    alpha: Fraction
-    beta: Fraction
-    trig: Optional[str]
+    __slots__ = ("coeff", "k", "alpha", "beta", "trig")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if (self.trig is None) != (self.beta == 0):
+    def __init__(self, coeff: Fraction, k: int, alpha: Fraction, beta: Fraction, trig: Optional[str]):
+        object.__setattr__(self, "coeff", Fraction(coeff))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "alpha", Fraction(alpha))
+        object.__setattr__(self, "beta", Fraction(beta))
+        object.__setattr__(self, "trig", trig)
+        if (trig is None) != (self.beta == 0):
             raise ValueError("trig factor present iff beta is nonzero")
         if self.beta < 0:
             raise ValueError("beta must be normalized to be positive")

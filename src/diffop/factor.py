@@ -20,21 +20,19 @@ UnfactorableOverGaussianRationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .expressions import InternalInvariantError, _convolved
 from .operators import D, OperatorPoly
-from .rationals import power
+from .rationals import Record, power
 
 
 class UnfactorableOverGaussianRationals(ValueError):
     """The operator has a root outside Q(i); no exact factorization exists here."""
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """One real factor of an operator, to a power.
 
     beta == 0 encodes the linear factor (D - alpha); beta > 0 encodes the
@@ -42,16 +40,15 @@ class Factor:
     alpha +- i beta.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    mult: int
+    __slots__ = ("alpha", "beta", "mult")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+    def __init__(self, alpha: Fraction, beta: Fraction, mult: int):
+        object.__setattr__(self, "alpha", Fraction(alpha))
+        object.__setattr__(self, "beta", Fraction(beta))
+        object.__setattr__(self, "mult", mult)
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
-        if self.mult < 1:
+        if mult < 1:
             raise ValueError("multiplicity must be positive")
 
     @property
@@ -66,16 +63,14 @@ class Factor:
         )
 
 
-@dataclass(frozen=True)
-class FactoredOperator:
+class FactoredOperator(Record):
     """Product form leading * prod base_i^mult_i with rational factor data."""
 
-    leading: Fraction
-    factors: tuple
+    __slots__ = ("leading", "factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "leading", Fraction(self.leading))
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __init__(self, leading: Fraction, factors: tuple):
+        object.__setattr__(self, "leading", Fraction(leading))
+        object.__setattr__(self, "factors", tuple(factors))
         if not self.leading:
             raise ValueError("leading coefficient must be nonzero")
 

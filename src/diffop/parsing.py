@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -498,8 +497,7 @@ def parse_rhs(src: str) -> RealExpr:
 # -- operators ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _OpVal:
+class _OpVal(NamedTuple):
     """Operator value plus the bases of degree <= 2 it is a product of, each a
     ComplexExpr with its multiplicity (a number is a base of degree 0); parts
     is None once the value is no such product."""
@@ -515,8 +513,7 @@ class _OpVal:
         return _OpVal(poly, None)
 
 
-@dataclass(frozen=True)
-class ParsedOperator:
+class ParsedOperator(NamedTuple):
     """Expanded operator plus the factored form when one was recoverable."""
 
     poly: OperatorPoly

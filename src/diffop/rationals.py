@@ -5,12 +5,17 @@ The real scalars are plain ``fractions.Fraction`` values (re-exported as
 ``GaussianRational`` adds the imaginary unit on top, giving the field Q(i)
 where complexified frequencies a + bi live.  Everything here is an immutable
 value; results are exact or an exception is raised, never a rounded number.
+
+``Record`` is the base of the package's immutable value types, here and in
+the other modules: a ``__slots__`` class whose slots are its fields, in
+order, with ``==``, ``hash`` and ``repr`` over them and no assignment or
+deletion once built.  Each record's own ``__init__`` converts and checks
+its arguments.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -48,16 +53,52 @@ def power(base, exponent: int, one, mul=operator.mul):
     return result
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class Record:
+    """An immutable value whose fields are its ``__slots__``, in order.
+
+    Two records are equal when they are of the same class and their fields
+    are equal; the hash is that of the field tuple, and the repr names each
+    field.  A subclass sets its fields in ``__init__`` through
+    ``object.__setattr__``; any later assignment or deletion raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as assignment is refused
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GaussianRational(Record):
     """A complex number re + im*i with exact rational parts."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: Fraction, im: Fraction = _F0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
 
     @staticmethod
     def _raw(re: Fraction, im: Fraction) -> "GaussianRational":

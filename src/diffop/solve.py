@@ -25,19 +25,17 @@ again before it applies P at half of the frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .expressions import (
     ORIGIN, ComplexExpr, RealExpr, _key, _ordered, _product, _reduced, _scalar, _summed
 )
 from .factor import FactoredOperator
 from .operators import OperatorPoly
-from .rationals import GaussianRational
+from .rationals import GaussianRational, Record
 
 
-@dataclass(frozen=True)
-class InverseSeries:
+class InverseSeries(NamedTuple):
     """Truncated inverse 1/R(D) valid on polynomials of degree <= order."""
 
     operator: OperatorPoly
@@ -90,8 +88,7 @@ def antidifferentiate(p: ComplexExpr, k: int) -> ComplexExpr:
     return ComplexExpr._of({ORIGIN: _reduced(d * whole, nre, nim)})
 
 
-@dataclass(frozen=True)
-class FrequencyStep:
+class FrequencyStep(NamedTuple):
     """Everything the pipeline did for one frequency group."""
 
     lam: GaussianRational
@@ -104,8 +101,7 @@ class FrequencyStep:
     contribution: ComplexExpr
 
 
-@dataclass(frozen=True)
-class SolveTrace:
+class SolveTrace(NamedTuple):
     operator: OperatorPoly
     rhs_complex: ComplexExpr
     steps: tuple
@@ -162,12 +158,14 @@ def solve_particular(P: OperatorPoly, g: RealExpr) -> Tuple[RealExpr, SolveTrace
     return Y.to_real(), SolveTrace(P, gc, steps)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(Record):
     """Ordered basis of the solution space of P(D) y = 0."""
 
-    elements: tuple
-    labels: tuple
+    __slots__ = ("elements", "labels")
+
+    def __init__(self, elements: tuple, labels: tuple):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.elements)

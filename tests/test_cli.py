@@ -511,6 +511,14 @@ def test_batch_rejects_malformed_payload(capsys, monkeypatch):
     assert main(["batch"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("payload", ["{", "{}", "[1, 2]"], ids=["invalid-json", "no-problems", "list"])
+def test_batch_refuses_a_payload_without_problems(capsys, monkeypatch, payload):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "batch")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith('error: batch input must be JSON {"problems": [...]}: ')
+
+
 @pytest.mark.parametrize(
     "problems", [5, None, "D", {"op": "D", "rhs": "x"}], ids=["int", "null", "str", "object"]
 )

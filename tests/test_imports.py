@@ -1,6 +1,10 @@
-"""Each module of the package reads every name it imports."""
+"""Each module of the package reads every name it imports, and a text
+command starts without the standard library modules it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,24 @@ def test_module_reads_every_name_it_imports(module):
     kept = {name for mod, name in KEPT if mod == module}
     assert kept <= _imported(tree), f"stale entries in KEPT for {module}"
     assert unused - kept == set(), f"{module} imports names it never reads"
+
+
+# Each costs a fresh process several milliseconds to import: dataclasses pulls
+# in inspect, ast, dis and tokenize, and json is needed only for JSON.
+COLD_START_EXCLUDED = ("dataclasses", "inspect", "json")
+
+
+def test_text_commands_start_without_dataclasses_inspect_or_json():
+    script = (
+        "import sys\n"
+        "from diffop.cli import main\n"
+        "codes = [main(['kernel', '--op', 'D^2+1']), main(['solve', '--op', 'D^2+1', '--rhs', 'x*sin(x)'])]\n"
+        f"print(codes, sorted(set({COLD_START_EXCLUDED!r}) & set(sys.modules)))\n"
+    )
+    # -S keeps the start-up hooks of site-packages out of the module count
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["cos(x)", "sin(x)", "-1/4*(x^2*cos(x) - x*sin(x))", "[0, 0] []"]

@@ -340,8 +340,8 @@ def test_certified_solve_builds_no_real_term_until_render(monkeypatch):
     built before the answer is rendered, and rendering it the way JSON output
     does (text, LaTeX and terms) folds it once."""
     built = []
-    post_init = RealTerm.__post_init__
-    monkeypatch.setattr(RealTerm, "__post_init__", lambda t: built.append(t) or post_init(t))
+    init = RealTerm.__init__
+    monkeypatch.setattr(RealTerm, "__init__", lambda t, *args: built.append(t) or init(t, *args))
     rng = random.Random(53)
     for case in range(50):
         P, roots = rand_rooted_operator(rng, max_roots=3, height=4)
