@@ -31,7 +31,7 @@ from .factor import (
     UnfactorableOverGaussianRationals,
     factor_exact,
 )
-from .operators import D, IDENTITY_OP, OperatorPoly
+from .operators import OperatorPoly
 from .parsing import ParsedOperator, ParseError, parse_operator, parse_rhs
 from .rationals import GaussianRational, Rational, gauss
 from .render import (
@@ -60,13 +60,11 @@ __all__ = [
     "ComplexExpr",
     "ComplexTerm",
     "ConjugateSymmetryError",
-    "D",
     "EXACT",
     "Factor",
     "FactoredOperator",
     "FrequencyStep",
     "GaussianRational",
-    "IDENTITY_OP",
     "InternalInvariantError",
     "InverseSeries",
     "KernelBasis",

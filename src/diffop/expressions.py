@@ -14,11 +14,12 @@ the fold into terms with rational coefficients, once, when first read.
 
 A ``ComplexExpr`` is dense by frequency: each lam holds the polynomial that
 multiplies e^(lam x) as Gaussian-integer coefficient vectors over one common
-denominator.  Sums, products, scaling and D are then integer vector work
+denominator.  Sums, differences and products are then integer vector work
 with one gcd per result vector (the fraction-free scheme of von zur Gathen
 and Gerhard, *Modern Computer Algebra*, ch. 5), and so are the parser, the
 solver's per-frequency steps and ``OperatorPoly``, whose coefficients are
-one such vector, which all use the vector helpers defined here.
+one such vector and whose ``apply`` is D on them, which all use the vector
+helpers defined here.
 
 Becoming real doubles as an internal consistency check: an expression
 produced from real data must be fixed by conjugation, so ``to_real``
@@ -209,9 +210,6 @@ class ComplexTerm(Record):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "lam", lam)
 
-    def sort_key(self):
-        return (self.lam.re, self.lam.im, self.k)
-
 
 class ComplexExpr:
     """Immutable sum of complex-exponential monomials, kept canonical.
@@ -279,9 +277,6 @@ class ComplexExpr:
             key: (d, [-x for x in re], [-y for y in im]) for key, (d, re, im) in self.freqs.items()
         })
 
-    def scale(self, c: GaussianRational) -> "ComplexExpr":
-        return self * ComplexExpr._of({ORIGIN: _integer_parts((GaussianRational._coerce(c),))})
-
     def __mul__(self, other: "ComplexExpr") -> "ComplexExpr":
         acc: dict = {}
         for lam, u in self.freqs.items():
@@ -295,31 +290,6 @@ class ComplexExpr:
             if w is not None:
                 freqs[nu] = w
         return ComplexExpr._of(freqs)
-
-    def differentiate(self) -> "ComplexExpr":
-        """Apply D once: D(u e^(lam x)) = (u' + lam u) e^(lam x), which with
-        lam = (p + qi)/s is s u' + (p + qi) u over s times the denominator."""
-        freqs = {}
-        for (s, p, q), (d, re, im) in self.freqs.items():
-            nre = [p * x - q * y for x, y in zip(re, im)]
-            nim = [p * y + q * x for x, y in zip(re, im)]
-            for k in range(1, len(re)):
-                nre[k - 1] += s * k * re[k]
-                nim[k - 1] += s * k * im[k]
-            v = _reduced(d * s, nre, nim)
-            if v is not None:
-                freqs[s, p, q] = v
-        return ComplexExpr._of(freqs)
-
-    # -- structure ------------------------------------------------------
-
-    def frequencies(self) -> list:
-        return [_scalar(key) for key in _ordered(self.freqs)]
-
-    def poly_at(self, lam: GaussianRational) -> tuple:
-        """Coefficients (low to high in x) of the polynomial multiplying e^(lam x)."""
-        d, re, im = self.freqs.get(_key(GaussianRational._coerce(lam)), (1, [], []))
-        return tuple(_scalar((d, x, y)) for x, y in zip(re, im))
 
     # -- evaluation -------------------------------------------------------
 

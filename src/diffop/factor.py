@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .expressions import InternalInvariantError, _convolved
+from .expressions import InternalInvariantError, _convolved, _product, _reduced
 from .operators import D, OperatorPoly
 from .rationals import Record, power
 
@@ -79,10 +79,14 @@ class FactoredOperator(Record):
         return sum(f.degree * f.mult for f in self.factors)
 
     def expand(self) -> OperatorPoly:
-        result = OperatorPoly((self.leading,))
+        """leading * prod base^mult on the reduced vectors, one base at a time:
+        a base has at most three entries, so each product is linear work."""
+        v = (self.leading.denominator, [self.leading.numerator], [0])
         for f in self.factors:
-            result = result * f.base() ** f.mult
-        return result
+            base = f.base()._v
+            for _ in range(f.mult):
+                v = _reduced(*_product(v, base))
+        return OperatorPoly._of(v)
 
     @staticmethod
     def from_bases(leading: Fraction, bases: Iterable) -> "FactoredOperator":

@@ -18,8 +18,9 @@ and on one frequency D acts on the polynomial part alone,
 
     D (u(x) e^(lam x)) = (u'(x) + lam u(x)) e^(lam x).
 
-``evaluate`` and ``shift`` implement the first two exactly, which is what
-lets the solver replace calculus with arithmetic in Q(i).  ``apply`` runs
+``shift`` implements the second exactly, and the constant term of
+P(D + lam) is the P(lam) of the first, which is what lets the solver
+replace calculus with arithmetic in Q(i).  ``apply`` runs
 Horner's rule on the third, frequency by frequency, directly on the
 Gaussian-integer vectors a ``ComplexExpr`` holds, and returns one.  At
 frequency 0, where the solver applies its series, D only differentiates and
@@ -29,13 +30,16 @@ path and must not go through ``shift``, so the two stay independent.
 
 An operator is held as one reduced Gaussian-integer vector (d, re, im),
 the form of one frequency of a ``ComplexExpr`` (the fraction-free scheme of
-von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).  Its ring
-operations, ``shift`` and ``apply`` run on plain ints with the vector
-helpers of ``expressions``, and each result is reduced by one gcd.  A real
-operator has zero imaginary parts, so shifting by a complex frequency keeps
-the representation; the zero operator is (1, [], []).  ``coeffs`` and
-``coeff`` build ``GaussianRational`` values only for the API, the trace
-and rendering.  The factored form of an operator is ``factor``'s.
+von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).  ``shift``
+and ``apply`` run on plain ints with the vector helpers of ``expressions``,
+and each result is reduced by one gcd.  An operator has no ring operations
+of its own: the parser forms sums, products and powers as values at
+frequency 0, and ``FactoredOperator.expand`` multiplies out bases on the
+vectors.  A real operator has zero imaginary parts, so shifting by a
+complex frequency keeps the representation; the zero operator is
+(1, [], []).  ``coeffs`` and ``coeff`` build ``GaussianRational`` values
+only for the API, the trace and rendering.  The factored form of an
+operator is ``factor``'s.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Optional
 
-from .expressions import ComplexExpr, _integer_parts, _key, _product, _reduced, _scalar, _summed
-from .rationals import GaussianRational, gauss, power, scalar_from_json, scalar_to_json
+from .expressions import ComplexExpr, _integer_parts, _key, _reduced, _scalar
+from .rationals import GaussianRational, gauss, scalar_to_json
 
 
 def _to_gauss(value) -> GaussianRational:
@@ -100,61 +104,8 @@ class OperatorPoly:
             return _scalar((d, re[j], im[j]))
         return gauss(0)
 
-    # -- polynomial ring ----------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "OperatorPoly | None":
-        if isinstance(other, OperatorPoly):
-            return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return OperatorPoly((other,))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return OperatorPoly._of(_reduced(*_summed(self._v, other._v)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        d, re, im = self._v
-        return OperatorPoly._of((d, [-x for x in re], [-y for y in im]))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return OperatorPoly._of(None)
-        return OperatorPoly._of(_reduced(*_product(self._v, other._v)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        return power(self, exponent, IDENTITY_OP)
-
-    def scale(self, c) -> "OperatorPoly":
-        return self * OperatorPoly((c,))
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, OperatorPoly):
             return NotImplemented
         return self._v == other._v
 
@@ -166,14 +117,6 @@ class OperatorPoly:
         return f"OperatorPoly({[c.pretty() for c in self.coeffs]})"
 
     # -- the operator calculus ------------------------------------------
-
-    def evaluate(self, lam: GaussianRational) -> GaussianRational:
-        """P(lam) by Horner's scheme; equals the eigenvalue on e^(lam x)."""
-        lam = _to_gauss(lam)
-        acc = gauss(0)
-        for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
 
     def shift(self, lam: GaussianRational) -> "OperatorPoly":
         """The translated polynomial P(D + lam), exactly.
@@ -253,20 +196,6 @@ class OperatorPoly:
                 freqs[lam] = v
         return ComplexExpr._of(freqs)
 
-    def formal_derivative(self) -> "OperatorPoly":
-        """dP/dD by the power rule (a polynomial in D, not an action on f)."""
-        d, re, im = self._v
-        js = range(1, len(re))
-        return OperatorPoly._of(_reduced(d, [j * re[j] for j in js], [j * im[j] for j in js]))
-
-    def multiplicity_at(self, lam: GaussianRational) -> int:
-        """Largest k with (D - lam)^k dividing P.
-
-        Shifting moves lam to the origin, where the multiplicity is visible
-        as the run of vanishing low-order coefficients.
-        """
-        return self.shift(lam).valuation()
-
     def valuation(self) -> int:
         """Largest k with D^k dividing P: the index of the lowest nonzero coefficient."""
         if self.is_zero():
@@ -278,12 +207,7 @@ class OperatorPoly:
     def to_json(self) -> list:
         return [scalar_to_json(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(obj: list) -> "OperatorPoly":
-        return OperatorPoly(scalar_from_json(c) for c in obj)
-
 
 _ZERO = (1, [], [])  # the vector of the zero operator
 
 D = OperatorPoly((0, 1))
-IDENTITY_OP = OperatorPoly((1,))

@@ -31,17 +31,13 @@ def rat_to_json(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def rat_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def power(base, exponent: int, one, mul=operator.mul):
     """base**exponent for exponent >= 0 by square-and-multiply, one the unit.
 
-    Serves every ``**`` on exact values: Gaussian rationals, operator
-    polynomials and the parser's expressions, whose products the parser
-    checks against its size limits through ``mul``; about log2(exponent)
-    squarings instead of exponent products.
+    Serves every ``**`` on exact values: Gaussian rationals, the parser's
+    expressions, whose products the parser checks against its size limits
+    through ``mul``, and ``factor``'s polynomials modulo p; about
+    log2(exponent) squarings instead of exponent products.
     """
     result = one
     while exponent:
@@ -204,7 +200,8 @@ class GaussianRational(Record):
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction, so it hashes as one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- conversions --------------------------------------------------------
 
@@ -231,10 +228,6 @@ class GaussianRational(Record):
     def to_json(self) -> dict:
         return {"re": rat_to_json(self.re), "im": rat_to_json(self.im)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "GaussianRational":
-        return GaussianRational(rat_from_json(obj["re"]), rat_from_json(obj["im"]))
-
 
 ZERO = GaussianRational(Fraction(0))
 ONE = GaussianRational(Fraction(1))
@@ -251,9 +244,3 @@ def scalar_to_json(z: GaussianRational) -> dict:
     if z.is_real():
         return rat_to_json(z.re)
     return z.to_json()
-
-
-def scalar_from_json(obj: dict) -> GaussianRational:
-    if "num" in obj:
-        return GaussianRational(rat_from_json(obj))
-    return GaussianRational.from_json(obj)

@@ -2,15 +2,16 @@
 
 ``exponential_input`` is the A x^k e^(a x) / P^(k)(a) formula and
 ``resonant_trig_solution`` the resonant cos/sin answer under powers of
-D^2 + b^2.  Neither uses ``solve_particular``, its shift or its series, so
-agreeing with the pipeline up to a kernel element is evidence, not
-circularity.
+D^2 + b^2.  Neither uses ``solve_particular``, its shift or its series (the
+multiplicity, derivatives and values of P are ``OpRef``'s), so agreeing with
+the pipeline up to a kernel element is evidence, not circularity.
 """
 
 import math
 from fractions import Fraction
 
 from diffop import ComplexExpr, GaussianRational, OperatorPoly, RealExpr, RealTerm
+from opref import OpRef
 
 
 def exponential_input(P: OperatorPoly, A: GaussianRational, alpha: GaussianRational) -> ComplexExpr:
@@ -21,8 +22,9 @@ def exponential_input(P: OperatorPoly, A: GaussianRational, alpha: GaussianRatio
     """
     if P.is_zero():
         raise ValueError("cannot solve against the zero operator")
-    k = P.multiplicity_at(alpha)
-    deriv = P
+    ref = OpRef(P.coeffs)
+    k = ref.multiplicity_at(alpha)
+    deriv = ref
     for _ in range(k):
         deriv = deriv.formal_derivative()
     denom = deriv.evaluate(alpha)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from diffop import D, FactoredOperator, OperatorPoly, UnfactorableOverGaussianRationals
+from diffop import FactoredOperator, OperatorPoly, UnfactorableOverGaussianRationals
 
 
 def _divisors(n: int) -> list:
@@ -117,7 +117,7 @@ def factor_exact(P: OperatorPoly) -> FactoredOperator:
     while work[k] == 0:
         k += 1
     if k:
-        bases.append((D, k))
+        bases.append((OperatorPoly((0, 1)), k))
         work = work[k:]
     while len(work) > 1:
         root = _find_rational_root(work)

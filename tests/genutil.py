@@ -19,7 +19,13 @@ from diffop import (
     RealExpr,
     RealTerm,
     gauss,
+    parse_operator,
 )
+
+
+def op(source: str) -> OperatorPoly:
+    """The operator a literal spells, through the parser."""
+    return parse_operator(source).poly
 
 
 def rexpr(*terms) -> RealExpr:
@@ -94,19 +100,20 @@ def rand_rooted_operator(rng: random.Random, max_roots: int = 4, height: int = 5
     (the one with non-negative imaginary part).
     """
     roots = []
-    P = OperatorPoly((rand_fraction(rng, 3, nonzero=True),))
+    leading = rand_fraction(rng, 3, nonzero=True)
+    factors = []
     for _ in range(rng.randint(1, max_roots)):
         mult = rng.randint(1, 3)
         if rng.random() < 0.5:
             r = gauss(rand_fraction(rng, height))
-            base = OperatorPoly((-r.re, 1))
+            factors.append(Factor(r.re, Fraction(0), mult))
         else:
             alpha = rand_fraction(rng, height)
             beta = abs(rand_fraction(rng, height, nonzero=True))
             r = gauss(alpha, beta)
-            base = OperatorPoly((alpha * alpha + beta * beta, -2 * alpha, 1))
-        P = P * base**mult
+            factors.append(Factor(alpha, beta, mult))
         roots.append((r, mult))
+    P = FactoredOperator(leading, tuple(factors)).expand()
     return P, roots
 
 
@@ -177,12 +184,14 @@ def trig_route_real(P: OperatorPoly, coeff: Fraction, beta: Fraction, trig: str)
     return RealExpr(terms)
 
 
-def rand_factored(rng: random.Random, max_factors: int = 3, height: int = 3) -> FactoredOperator:
+def rand_factored(
+    rng: random.Random, max_factors: int = 3, height: int = 3, max_mult: int = 3
+) -> FactoredOperator:
     """Random factored operator with distinct rational factor data."""
     seen = set()
     factors = []
     for _ in range(rng.randint(1, max_factors)):
-        mult = rng.randint(1, 3)
+        mult = rng.randint(1, max_mult)
         if rng.random() < 0.5:
             alpha, beta = rand_fraction(rng, height), Fraction(0)
         else:

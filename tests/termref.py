@@ -17,6 +17,11 @@ from fractions import Fraction
 from diffop import ComplexExpr, ComplexTerm, ConjugateSymmetryError, RealExpr, RealTerm, gauss
 
 
+def sort_key(t: ComplexTerm) -> tuple:
+    """A term's place in a TermSum: by (lam.re, lam.im, k)."""
+    return (t.lam.re, t.lam.im, t.k)
+
+
 class TermSum:
     __slots__ = ("terms",)
 
@@ -26,7 +31,7 @@ class TermSum:
             coeff, k, lam = (t.coeff, t.k, t.lam) if isinstance(t, ComplexTerm) else t
             merged[(lam, k)] = merged.get((lam, k), gauss(0)) + coeff
         kept = [ComplexTerm(c, k, lam) for (lam, k), c in merged.items() if not c.is_zero()]
-        kept.sort(key=ComplexTerm.sort_key)
+        kept.sort(key=sort_key)
         self.terms = tuple(kept)
 
     @staticmethod

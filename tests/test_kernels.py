@@ -4,14 +4,13 @@ import random
 from fractions import Fraction
 
 from diffop import (
-    D,
     Factor,
     FactoredOperator,
     check_kernel,
     kernel_basis,
     render_text,
 )
-from genutil import rand_factored, rexpr
+from genutil import op, rand_factored, rexpr
 
 F = Fraction
 
@@ -84,7 +83,7 @@ def test_check_kernel_flags_bad_element():
     from diffop import KernelBasis
 
     bad = KernelBasis((rexpr((1, 1, 0, 0, None)),), ("C1",))
-    verdict = check_kernel(D - 1, bad)
+    verdict = check_kernel(op("D-1"), bad)
     assert not verdict.is_exact
     assert "C1" in verdict.detail
     assert verdict.residual is not None

@@ -70,6 +70,10 @@ class _GaussianRational:
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
+    def __hash__(self):
+        # a real value equals its Fraction, so it hashes as one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
 
 @twin_of(ComplexTerm)
 class _ComplexTerm:

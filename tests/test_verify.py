@@ -9,8 +9,8 @@ import pytest
 from diffop import (
     ComplexExpr,
     ConjugateSymmetryError,
-    D,
     KernelBasis,
+    OperatorPoly,
     RealExpr,
     check_kernel,
     check_particular,
@@ -23,13 +23,13 @@ from diffop import (
     solve_particular,
 )
 from diffop.checks import STANDARD_POINTS
-from genutil import rand_real_rhs, rand_rooted_operator, rexpr
+from genutil import op, rand_real_rhs, rand_rooted_operator, rexpr
 
 F = Fraction
 
 
 def test_exact_answer_passes():
-    P = 3 * D**2 - 2 * D + 8
+    P = op("3*D^2-2*D+8")
     g = rexpr((5, 0, 3, 0, None))
     Y = rexpr((F(5, 29), 0, 3, 0, None))
     verdict = check_particular(P, g, Y)
@@ -37,7 +37,7 @@ def test_exact_answer_passes():
 
 
 def test_wrong_answer_reports_the_residual():
-    P = 3 * D**2 - 2 * D + 8
+    P = op("3*D^2-2*D+8")
     g = rexpr((5, 0, 3, 0, None))
     verdict = check_particular(P, g, rexpr((1, 0, 3, 0, None)))
     assert not verdict.is_exact
@@ -46,7 +46,7 @@ def test_wrong_answer_reports_the_residual():
 
 def test_non_real_image_is_an_internal_error():
     # an image that is not conjugation-symmetric is a fault, never a residual
-    P = D + gauss(0, 1)
+    P = OperatorPoly((gauss(0, 1), 1))  # D + i
     with pytest.raises(ConjugateSymmetryError):
         check_particular(P, rexpr((1, 0, 0, 0, None)), rexpr((1, 1, 0, 0, None)))
 
@@ -67,14 +67,14 @@ def test_non_symmetric_answer_is_an_internal_error():
     # the certificate applies a real P at b >= 0 only and mirrors the rest, so
     # it must refuse a "real" value whose b < 0 half is not the mirror of the
     # other, never call it exact
-    P = (D - 1) * (D**2 + 4)
+    P = op("(D-1)*(D^2+4)")
     g = parse_rhs("x*sin(2*x) + exp(x)*cos(x)")
     Y, _ = solve_particular(P, g)
     for freqs in _broken_mirrors(Y):
         with pytest.raises(ConjugateSymmetryError):
             check_particular(P, g, RealExpr._of(ComplexExpr._of(freqs)))
         with pytest.raises(ConjugateSymmetryError):
-            check_kernel(D, KernelBasis((RealExpr._of(ComplexExpr._of(freqs)),), ("C1",)))
+            check_kernel(op("D"), KernelBasis((RealExpr._of(ComplexExpr._of(freqs)),), ("C1",)))
     real_part = dict(Y.to_complex().freqs)
     real_part[1, 0, 0] = (1, [1], [1])  # an imaginary part at a real frequency
     with pytest.raises(ConjugateSymmetryError):
@@ -84,14 +84,14 @@ def test_non_symmetric_answer_is_an_internal_error():
 def test_non_symmetric_rhs_is_an_internal_error():
     # the solver mirrors the b < 0 half of a real problem from the b > 0 half,
     # so a b < 0 half that is missing or not the mirror must stop it
-    P = (D - 1) * (D**2 + 4)
+    P = op("(D-1)*(D^2+4)")
     for freqs in _broken_mirrors(parse_rhs("x*sin(2*x) + exp(x)*cos(x)")):
         with pytest.raises(ConjugateSymmetryError):
             solve_particular(P, RealExpr._of(ComplexExpr._of(freqs)))
 
 
 def test_constants_solve_first_derivative():
-    assert check_particular(D, rexpr(), rexpr((7, 0, 0, 0, None))).is_exact
+    assert check_particular(op("D"), rexpr(), rexpr((7, 0, 0, 0, None))).is_exact
 
 
 def test_kernel_verdicts():
@@ -103,18 +103,18 @@ def test_kernel_verdicts():
     assert check_kernel(f.expand(), basis).is_exact
 
     bad = KernelBasis((rexpr((1, 1, 0, 0, None)),), ("C1",))
-    assert not check_kernel(D - 1, bad).is_exact
+    assert not check_kernel(op("D-1"), bad).is_exact
 
 
 def test_numeric_spot_check_on_true_identity():
-    P = (D - 1) * (D + 5) * (D - 2) ** 3
+    P = op("(D-1)*(D+5)*(D-2)^3")
     g = rexpr((3, 0, 2, 0, None))
     Y, _ = solve_particular(P, g)
     assert numeric_spot_check(P, g, Y) < 1e-9
 
 
 def test_numeric_spot_check_catches_perturbed_coefficient():
-    P = 3 * D**2 - 2 * D + 8
+    P = op("3*D^2-2*D+8")
     g = rexpr((5, 0, 3, 0, None))
     wrong = rexpr((F(5, 29) + F(1, 1000), 0, 3, 0, None))
     assert numeric_spot_check(P, g, wrong) > 1e-5
@@ -128,7 +128,7 @@ def test_numeric_spot_check_on_kernel_element():
 
 def test_numeric_spot_check_reports_overflow_as_unconfirmed():
     # exp(1000 x) overflows a float at x = 1; the identity is still exact
-    P = D - 1
+    P = op("D-1")
     g = rexpr((1, 0, 1000, 0, None))
     Y, _ = solve_particular(P, g)
     assert check_particular(P, g, Y).is_exact
